@@ -1,13 +1,13 @@
 """The reverse-mode engine under the model, and how it is verified.
 
-Builds a few graphs by hand, then runs the finite-difference check on the
-full two-layer encoder in float64: every sampled analytic derivative must
-match (f(t+e) - f(t-e)) / 2e.
+Builds a few graphs by hand, checks the fused attention op, then runs the
+finite-difference check on the full two-layer encoder in float64: every
+sampled analytic derivative must match (f(t+e) - f(t-e)) / 2e.
 """
 
 import numpy as np
 
-from hapticauth import ModelConfig, build_model, cross_entropy, forward
+from hapticauth import ModelConfig, build_model, cross_entropy, forward, mhsa
 from hapticauth import autodiff as ad
 from hapticauth.autodiff import Tensor, backward, grad_check
 from hapticauth.model import draw_kink_free_batch
@@ -23,8 +23,17 @@ z = ad.add(x, x)                   # fan-out: gradient accumulates
 backward(ad.tsum(z))
 print(f"d(sum(x+x))/dx = {x.grad}   (expected 2 everywhere)")
 
-probs = ad.softmax(Tensor(np.array([[0.0, np.log(2.0)]], dtype=np.float64), dtype=np.float64))
-print(f"softmax([0, ln 2]) = {probs.data.round(4)}   (expected [1/3, 2/3])")
+# --- attention is one fused op with a hand-written backward ------------------
+rng = np.random.default_rng(0)
+xa = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True, dtype=np.float64)
+ws = [Tensor(rng.standard_normal((8, 8)) / np.sqrt(8), requires_grad=True, dtype=np.float64)
+      for _ in range(4)]
+weights = Tensor(rng.standard_normal((2, 5, 8)), dtype=np.float64)
+attn = mhsa(xa, *ws, num_heads=2)
+print(f"mhsa: one graph node with {len(attn._parents)} parents (x, wq, wk, wv, wo)")
+err = grad_check(lambda: ad.tsum(ad.mul(mhsa(xa, *ws, num_heads=2), weights)), [xa, *ws],
+                 eps=1e-6, num_samples=100)
+print(f"gradcheck on mhsa alone: max relative error {err:.2e}")
 
 # --- the model is one big graph ----------------------------------------------
 cfg = ModelConfig(d_model=64, num_heads=8, ffn_dim=64, num_layers=2,

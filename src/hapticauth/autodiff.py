@@ -17,8 +17,7 @@ from .errors import ShapeError
 
 __all__ = [
     "Tensor", "backward", "grad_check",
-    "matmul", "add", "mul", "mul_scalar", "relu", "softmax", "layer_norm",
-    "mean", "tsum", "transpose", "reshape",
+    "matmul", "add", "mul", "relu", "layer_norm", "mean", "tsum",
 ]
 
 
@@ -132,33 +131,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward_fn)
 
 
-def mul_scalar(a: Tensor, c: float) -> Tensor:
-    out_data = a.data * a.data.dtype.type(c)
-
-    def backward_fn(g):
-        _accumulate(a, g * a.data.dtype.type(c))
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # derivative at exactly 0 is defined as 0
     out_data = np.where(mask, a.data, a.data.dtype.type(0))
 
     def backward_fn(g):
         _accumulate(a, g * mask)
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (g - dot))
 
     return _make(out_data, (a,), backward_fn)
 
@@ -208,31 +186,6 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
             _accumulate(a, np.full_like(a.data, 1.0) * g)
         else:
             _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    out_data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward_fn(g):
-        _accumulate(a, np.transpose(g, inverse))
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    in_shape = a.data.shape
-    try:
-        out_data = a.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"cannot reshape {in_shape} to {shape}") from None
-
-    def backward_fn(g):
-        _accumulate(a, g.reshape(in_shape))
 
     return _make(out_data, (a,), backward_fn)
 

@@ -25,7 +25,7 @@ def predict(params: ModelParams, seq: FeatureSequence | np.ndarray) -> tuple[int
     values = seq.values if isinstance(seq, FeatureSequence) else np.asarray(seq)
     if values.ndim != 2:
         raise ShapeError(f"predict expects one L x C sequence, got shape {values.shape}")
-    logits = forward(params, values[None, :, :]).data[0]
+    logits = forward(params.detached(), values[None, :, :]).data[0]
     shifted = logits - logits.max()
     probs = np.exp(shifted)
     probs /= probs.sum()
@@ -34,8 +34,10 @@ def predict(params: ModelParams, seq: FeatureSequence | np.ndarray) -> tuple[int
 
 def predict_batch(params: ModelParams, seqs: Sequence[FeatureSequence],
                   batch_size: int = 64) -> np.ndarray:
-    """Predicted class indices for a list of sequences, in input order."""
+    """Predicted class indices for a list of sequences, in input order.
+    Inference records no autodiff graph."""
     preds = np.empty(len(seqs), dtype=np.int64)
+    params = params.detached()
     for start in range(0, len(seqs), batch_size):
         chunk = seqs[start:start + batch_size]
         x = np.stack([fs.values for fs in chunk])

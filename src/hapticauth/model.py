@@ -98,6 +98,12 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(self.config, {k: t.astype(dtype) for k, t in self._tensors.items()})
 
+    def detached(self) -> "ModelParams":
+        """The same arrays, uncopied, as leaves that need no gradient: a
+        forward pass over them records no graph and keeps no buffers."""
+        return ModelParams(self.config, {k: Tensor(t.data, dtype=t.data.dtype)
+                                         for k, t in self._tensors.items()})
+
     def zero_grads(self) -> None:
         for t in self._tensors.values():
             t.zero_grad()
@@ -161,28 +167,74 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
 def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
          num_heads: int) -> Tensor:
     """Full bidirectional multi-head self-attention with 1/sqrt(head_dim)
-    scaling; heads concatenated then output-projected."""
+    scaling; heads concatenated then output-projected.
+
+    One graph node with parents (x, wq, wk, wv, wo) and a hand-written
+    backward.  The (B, h, L, L) attention tensor exists once: the scores are
+    written into the probabilities buffer and normalised in place, one
+    sample at a time, and backward keeps only q, k, v, the context and the
+    probabilities (the memory-saving attention of Rabe & Staats 2021 and
+    FlashAttention, without the recomputation)."""
     if x.data.ndim != 3:
         raise ShapeError(f"mhsa expects (B, L, d) input, got {x.shape}")
     bsz, length, d = x.shape
     if d % num_heads != 0:
         raise ShapeError(f"model dim {d} not divisible by {num_heads} heads")
+    for w in (wq, wk, wv, wo):
+        if w.shape != (d, d):
+            raise ShapeError(f"mhsa weights must be ({d}, {d}), got {w.shape}")
     head_dim = d // num_heads
+    dtype = x.data.dtype
+    scale = dtype.type(1.0 / math.sqrt(head_dim))
 
-    def split_heads(t: Tensor) -> Tensor:
-        t = ad.reshape(t, (bsz, length, num_heads, head_dim))
-        return ad.transpose(t, (0, 2, 1, 3))  # (B, h, L, dh)
+    # per-head blocks are made contiguous: BLAS runs the L x L products on
+    # strided (row stride d) head views several times slower
+    def heads(a: np.ndarray) -> np.ndarray:  # (B·L, d) -> (B, h, L, dh)
+        return np.ascontiguousarray(a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3))
 
-    q = split_heads(ad.matmul(x, wq))
-    k = split_heads(ad.matmul(x, wk))
-    v = split_heads(ad.matmul(x, wv))
+    def merge(a: np.ndarray) -> np.ndarray:  # (B, h, L, dh) -> (B·L, d)
+        return a.transpose(0, 2, 1, 3).reshape(bsz * length, d)
 
-    scores = ad.mul_scalar(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(attn, v)                       # (B, h, L, dh)
-    ctx = ad.transpose(ctx, (0, 2, 1, 3))          # (B, L, h, dh)
-    ctx = ad.reshape(ctx, (bsz, length, d))
-    return ad.matmul(ctx, wo)
+    x_flat = x.data.reshape(bsz * length, d)
+    q, k, v = (heads(x_flat @ w.data) for w in (wq, wk, wv))
+    q *= scale  # scaling q, not the (L, L) scores, saves a pass over them
+    probs = np.empty((bsz, num_heads, length, length), dtype=dtype)
+    ctx = np.empty_like(q)
+    for b in range(bsz):
+        p = probs[b]
+        np.matmul(q[b], k[b].transpose(0, 2, 1), out=p)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, v[b], out=ctx[b])
+    ctx_flat = merge(ctx)
+    out_data = (ctx_flat @ wo.data).reshape(bsz, length, d)
+
+    def backward_fn(g):
+        g = g.reshape(bsz * length, d)
+        ad._accumulate(wo, ctx_flat.T @ g)
+        dctx = heads(g @ wo.data.T)
+        dqkv = np.empty((3,) + q.shape, dtype=dtype)
+        dq, dk, dv = dqkv
+        for b in range(bsz):
+            p = probs[b]
+            np.matmul(p.transpose(0, 2, 1), dctx[b], out=dv[b])
+            # softmax backward, ds = p * (dp - rowsum(dp * p)); the row sum
+            # equals rowsum(dctx * ctx), which needs no (h, L, L) temporary
+            ds = dctx[b] @ v[b].transpose(0, 2, 1)
+            ds -= (dctx[b] * ctx[b]).sum(axis=-1, keepdims=True)
+            ds *= p
+            np.matmul(ds, k[b], out=dq[b])
+            np.matmul(ds.transpose(0, 2, 1), q[b], out=dk[b])
+        dq *= scale
+        dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(bsz * length, 3 * d)  # [dq | dk | dv]
+        dw = x_flat.T @ dqkv
+        for i, w in enumerate((wq, wk, wv)):
+            ad._accumulate(w, dw[:, i * d:(i + 1) * d])
+        w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+        ad._accumulate(x, (dqkv @ w_qkv.T).reshape(bsz, length, d))
+
+    return _make(out_data, (x, wq, wk, wv, wo), backward_fn)
 
 
 def _dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:

@@ -145,7 +145,8 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 def train(cfg: TrainConfig, model_cfg: ModelConfig,
           train_set: list[FeatureSequence]) -> tuple[ModelParams, TrainHistory]:
     """Seeded mini-batch training loop; returns final parameters and the
-    per-epoch loss/accuracy/learning-rate history."""
+    per-epoch loss/accuracy/learning-rate history.  A non-finite loss stops
+    the run with a DataError before it can reach a checkpoint."""
     if not train_set:
         raise DataError("empty training set")
     labels = np.array([fs.label for fs in train_set], dtype=np.int64)
@@ -166,13 +167,16 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         correct = 0
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
             xb = x_all[idx]
             yb = labels[idx]
             params.zero_grads()
             logits = forward(params, xb, dropout_rng=dropout_rng)
             loss = cross_entropy(logits, yb)
+            if not np.isfinite(loss.data):
+                raise DataError(f"non-finite training loss {float(loss.data)} "
+                                f"at epoch {epoch}, step {step}")
             backward(loss)
             grads = {k: t.grad for k, t in params.trainable().items() if t.grad is not None}
             adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)

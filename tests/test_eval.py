@@ -57,6 +57,26 @@ class TestPredict:
         assert cls1 == cls2
 
 
+    def test_inference_records_no_graph(self, monkeypatch):
+        from hapticauth import evaluation, model
+        params = build_model(TINY, seed=3)
+        seqs = seqs_for(params, 5)
+        logits = []
+
+        def spy(p, x, **kwargs):
+            assert all(p[n].data is params[n].data for n in params.names())  # shared, no copy
+            logits.append(model.forward(p, x, **kwargs))
+            return logits[-1]
+
+        monkeypatch.setattr(evaluation, "forward", spy)
+        preds = evaluation.predict_batch(params, seqs, batch_size=2)
+        predict(params, seqs[0])
+        assert len(logits) == 4
+        assert all(t._parents == () and t._backward is None for t in logits)
+        expected = model.forward(params, np.stack([fs.values for fs in seqs])).data.argmax(axis=1)
+        np.testing.assert_array_equal(preds, expected)
+
+
 class TestConfusionMatrix:
     def test_all_correct_is_diagonal(self):
         labels = [0, 1, 2, 1, 0]

@@ -14,7 +14,8 @@ from hapticauth import (
     positional_encoding,
     save_checkpoint,
 )
-from hapticauth.autodiff import Tensor
+from hapticauth import autodiff as ad
+from hapticauth.autodiff import Tensor, grad_check
 from hapticauth.errors import ConfigError, DataError, ShapeError
 
 from oracles import attention_per_head, cross_entropy_per_sample
@@ -121,6 +122,26 @@ class TestMhsa:
         out = mhsa(x, wq, wk, wv, wo, h).data
         oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("bsz, length, d, h", [(1, 1, 8, 2), (3, 7, 12, 3), (2, 5, 8, 1)])
+    def test_gradient_matches_finite_differences(self, bsz, length, d, h):
+        rng = np.random.default_rng(bsz * 100 + length)
+        x = Tensor(rng.normal(size=(bsz, length, d)), requires_grad=True, dtype=np.float64)
+        ws = [Tensor(rng.normal(size=(d, d)) / math.sqrt(d), requires_grad=True, dtype=np.float64)
+              for _ in range(4)]
+        w_out = Tensor(rng.normal(size=(bsz, length, d)), dtype=np.float64)
+        err = grad_check(lambda: ad.tsum(ad.mul(mhsa(x, *ws, h), w_out)), [x, *ws],
+                         eps=1e-6, num_samples=300, seed=0)
+        assert err < 1e-6, f"max relative error {err}"
+
+    def test_one_graph_node(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32), requires_grad=True)
+        ws = [Tensor(rng.normal(size=(8, 8)).astype(np.float32), requires_grad=True) for _ in range(4)]
+        out = mhsa(x, *ws, 2)
+        assert out._backward is not None
+        assert len(out._parents) == 5
+        assert all(p is q for p, q in zip(out._parents, [x, *ws]))
 
 
 class TestForward:

@@ -183,6 +183,22 @@ class TestTrain:
         save_checkpoint(f2, p2)
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_non_finite_loss_aborts(self, monkeypatch):
+        from hapticauth import trainer
+        updates = []
+
+        def poisoning_adam_step(params, *args, **kwargs):
+            adam_step(params, *args, **kwargs)
+            updates.append(1)
+            if len(updates) == 3:
+                params["head.w"].data[0, 0] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", poisoning_adam_step)
+        cfg = TrainConfig(epochs=4, batch_size=4, seed=0)  # 2 steps per epoch
+        with pytest.raises(DataError, match="epoch 1, step 1"):
+            train(cfg, TINY_MODEL, toy_set())
+        assert len(updates) == 3  # no update after the first non-finite loss
+
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
             train(TrainConfig(epochs=1), TINY_MODEL, [])
