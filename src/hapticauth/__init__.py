@@ -8,7 +8,6 @@ all verifiable at desk scale on a synthetic dataset.
 
 from .dataset import (
     DatasetManifest,
-    ForceSample,
     ForceTrace,
     ManifestEntry,
     SynthConfig,
@@ -35,7 +34,6 @@ from .evaluation import (
     evaluate_experiment,
     evaluate_model,
     metrics,
-    predict,
 )
 from .features import (
     FEATURE_NAMES,
@@ -62,7 +60,6 @@ from .signal import (
     resample,
     zscore_apply,
     zscore_fit,
-    zscore_invert,
 )
 from .trainer import (
     AdamState,

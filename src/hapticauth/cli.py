@@ -2,7 +2,7 @@
 
 Subcommands cover the whole pipeline: ``synth`` (generate a labeled dataset),
 ``filter`` (EMA-smoothed variant), ``train-experiment`` (the per-task /
-per-user model factories), ``eval-experiment`` (reports from checkpoints),
+per-user model sets), ``eval-experiment`` (reports from checkpoints),
 ``sweep`` (training-size curve), and ``gradcheck`` (finite-difference
 verification of the engine).  Exit codes: 0 success, 2 usage/config error,
 3 data/experiment error.
@@ -33,7 +33,6 @@ from .dataset import (
 )
 from .errors import ConfigError, DataError, HapticAuthError
 from .evaluation import evaluate_experiment, write_experiment_files
-from .features import pipeline
 from .model import (
     ModelConfig,
     build_model,
@@ -45,14 +44,16 @@ from .model import (
 )
 from .signal import NormStats, filter_trace
 from .trainer import (
+    DEFAULT_SEQ_LEN,
     DEFAULT_SWEEP_SIZES,
+    ModelJob,
     TrainConfig,
     TrainedModel,
     TrainHistory,
-    split_dataset,
+    plan_experiment,
+    plan_job,
+    run_jobs,
     sweep_training_size,
-    train_task_models,
-    train_user_id_models,
 )
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -130,7 +131,7 @@ def cmd_filter(args) -> int:
 # --- train-experiment ------------------------------------------------------
 
 def _model_template(args, kind: str) -> ModelConfig:
-    seq_len = args.seq_len if args.seq_len is not None else (512 if kind == "user-id" else 64)
+    seq_len = args.seq_len if args.seq_len is not None else DEFAULT_SEQ_LEN[kind]
     cfg = ModelConfig(
         d_model=args.d_model,
         num_heads=args.heads,
@@ -166,10 +167,11 @@ def _save_trained(out: Path, tm: TrainedModel, variant: str) -> None:
         "variant": variant,
         "seed": tm.seed,
         "normalize": tm.stats is not None,
-        "train_per_class": len(tm.train_set) // len(tm.class_labels),
+        "train_per_class": len(tm.train_keys) // len(tm.class_labels),
         "test_per_class": len(tm.test_set) // len(tm.class_labels),
-        "train_size": len(tm.train_set),
+        "train_size": len(tm.train_keys),
         "test_size": len(tm.test_set),
+        "split_digest": tm.split_digest,
     }
     extras = {}
     if tm.stats is not None:
@@ -193,12 +195,11 @@ def cmd_train_experiment(args) -> int:
     out = _prepare_outdir(args.out, args.force)
     train_cfg = _train_config(args)
     template = _model_template(args, args.kind)
-    factory = train_user_id_models if args.kind == "user-id" else train_task_models
-    models = factory(dataset, train_cfg, model_template=template, workers=args.workers)
+    models = run_jobs(plan_experiment(dataset, args.kind, train_cfg, template), args.workers)
     for tm in models:
         _save_trained(out, tm, args.variant)
         final = tm.history.train_acc[-1]
-        print(f"{tm.model_id}: train={len(tm.train_set)} test={len(tm.test_set)} "
+        print(f"{tm.model_id}: train={len(tm.train_keys)} test={len(tm.test_set)} "
               f"final_train_acc={final:.3f}")
     print(f"wrote {len(models)} checkpoints to {out}")
     return 0
@@ -206,22 +207,20 @@ def cmd_train_experiment(args) -> int:
 
 # --- eval-experiment -----------------------------------------------------
 
-def _rebuild_test_set(dataset, meta: dict, stats: NormStats | None, seq_len: int):
-    kind = meta["kind"]
-    group = meta["group"]
-    label_index = {lab: i for i, lab in enumerate(meta["class_labels"])}
-    if kind == "user-id":
-        subset = dataset.subset(variant=meta["variant"], task_id=group)
-        label_of = lambda tr: label_index[tr.user_id]
-    else:
-        subset = dataset.subset(variant=meta["variant"], user_id=group)
-        label_of = lambda tr: label_index[tr.task_id]
-    if len(subset) == 0:
-        raise DataError(f"manifest has no traces for model group {group!r} "
-                        f"(variant {meta['variant']!r})")
-    _, test_tr = split_dataset(subset, meta["train_per_class"], meta["test_per_class"],
-                               meta["seed"])
-    return [pipeline(tr, seq_len, stats=stats, label=label_of(tr)) for tr in test_tr]
+def _plan_from_meta(dataset, meta: dict, model_cfg: ModelConfig) -> ModelJob:
+    """Rebuild a checkpoint's job from the fields _save_trained writes; a
+    DataError unless its split is the one the model was trained on."""
+    if "split_digest" not in meta:
+        raise DataError(f"model {meta['model_id']}: checkpoint has no split digest, "
+                        f"so its test split cannot be verified")
+    train_cfg = TrainConfig(seed=int(meta["seed"]), train_per_class=meta["train_per_class"],
+                            test_per_class=meta["test_per_class"])
+    job = plan_job(dataset.subset(variant=meta["variant"]), meta["kind"], meta["group"],
+                   meta["class_labels"], train_cfg, model_cfg)
+    if job.split_digest != meta["split_digest"]:
+        raise DataError(f"model {meta['model_id']}: this manifest splits its group "
+                        f"differently from training (split digest mismatch)")
+    return job
 
 
 def cmd_eval_experiment(args) -> int:
@@ -252,12 +251,14 @@ def cmd_eval_experiment(args) -> int:
             if "norm.mean" not in extras or "norm.std" not in extras:
                 raise DataError(f"checkpoint {p} marked normalized but has no stats tensors")
             stats = NormStats(mean=extras["norm.mean"], std=extras["norm.std"])
-        test_set = _rebuild_test_set(dataset, meta, stats, params.config.seq_len)
+        job = _plan_from_meta(dataset, meta, params.config)
         models.append(TrainedModel(
-            model_id=meta["model_id"], kind=meta["kind"], group=meta["group"],
-            class_labels=list(meta["class_labels"]), params=params,
-            history=TrainHistory(), stats=stats, train_set=[], test_set=test_set,
-            seed=int(meta["seed"]),
+            model_id=meta["model_id"], kind=job.kind, group=job.group,
+            class_labels=list(job.class_labels), params=params,
+            history=TrainHistory(), stats=stats,
+            train_keys=tuple(tr.key for tr in job.train_traces),
+            test_set=job.featurize(job.test_traces, stats), seed=job.train_cfg.seed,
+            split_digest=job.split_digest,
         ))
     exp = evaluate_experiment(models)
     write_experiment_files(exp, out, svg=not args.no_svg)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,13 +32,6 @@ CSV_HEADER = "timestamp,fx,fy,fz"
 VARIANTS = ("raw", "filtered")
 DEFAULT_SAMPLE_RATE = 250.0
 DEFAULT_TASKS = ("a", "b", "c", "d", "e", "f", "g")
-
-
-class ForceSample(NamedTuple):
-    timestamp: float
-    fx: float
-    fy: float
-    fz: float
 
 
 @dataclass(frozen=True)
@@ -77,13 +70,6 @@ class ForceTrace:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def samples(self) -> list[ForceSample]:
-        return [
-            ForceSample(float(t), float(x), float(y), float(z))
-            for t, (x, y, z) in zip(self.timestamps, self.forces)
-        ]
 
     @property
     def key(self) -> tuple[str, str, int, str]:

@@ -19,23 +19,10 @@ if TYPE_CHECKING:
     from .trainer import TrainedModel
 
 
-def predict(params: ModelParams, seq: FeatureSequence | np.ndarray) -> tuple[int, np.ndarray]:
-    """Class index (ties broken toward the lowest index) and the softmax
-    probability vector for one sequence."""
-    values = seq.values if isinstance(seq, FeatureSequence) else np.asarray(seq)
-    if values.ndim != 2:
-        raise ShapeError(f"predict expects one L x C sequence, got shape {values.shape}")
-    logits = forward(params.detached(), values[None, :, :]).data[0]
-    shifted = logits - logits.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-    return int(np.argmax(logits)), probs
-
-
 def predict_batch(params: ModelParams, seqs: Sequence[FeatureSequence],
                   batch_size: int = 64) -> np.ndarray:
-    """Predicted class indices for a list of sequences, in input order.
-    Inference records no autodiff graph."""
+    """Predicted class indices for a list of sequences, in input order; ties
+    go to the lowest class index.  Inference records no autodiff graph."""
     preds = np.empty(len(seqs), dtype=np.int64)
     params = params.detached()
     for start in range(0, len(seqs), batch_size):

@@ -110,10 +110,3 @@ def zscore_apply(seq: np.ndarray, stats: NormStats) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != len(stats.mean):
         raise ShapeError(f"sequence shape {x.shape} does not match {len(stats.mean)} channels")
     return (x - stats.mean) / stats.std
-
-
-def zscore_invert(seq: np.ndarray, stats: NormStats) -> np.ndarray:
-    x = np.asarray(seq, dtype=np.float32)
-    if x.ndim != 2 or x.shape[1] != len(stats.mean):
-        raise ShapeError(f"sequence shape {x.shape} does not match {len(stats.mean)} channels")
-    return x * stats.std + stats.mean

@@ -1,13 +1,16 @@
 """Training protocol: per-group splits, Adam with cosine annealing, the
-task-specific and user-specific model factories, and the training-size sweep.
+experiment planner shared by training, evaluation and the training-size
+sweep, and the sweep itself.
 
-Every experiment is deterministic under its seed: model i of a factory
-derives its seed as base_seed + i, splits shuffle within sorted
-(user, task) groups, and epoch shuffling comes from one seeded generator.
+Every experiment is deterministic under its seed: model i of a plan derives
+its seed as base_seed + i, splits shuffle within sorted (user, task) groups,
+and epoch shuffling comes from one seeded generator.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -145,8 +148,9 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 def train(cfg: TrainConfig, model_cfg: ModelConfig,
           train_set: list[FeatureSequence]) -> tuple[ModelParams, TrainHistory]:
     """Seeded mini-batch training loop; returns final parameters and the
-    per-epoch loss/accuracy/learning-rate history.  A non-finite loss stops
-    the run with a DataError before it can reach a checkpoint."""
+    per-epoch loss/accuracy/learning-rate history.  A non-finite loss or
+    final parameter stops the run with a DataError before it can reach a
+    checkpoint."""
     if not train_set:
         raise DataError("empty training set")
     labels = np.array([fs.label for fs in train_set], dtype=np.int64)
@@ -185,10 +189,104 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
         history.train_loss.append(loss_sum / n)
         history.train_acc.append(correct / n)
         history.lr.append(lr)
+    # relu maps NaN to 0, so a NaN written by the last update never reached a loss
+    bad = [k for k, t in params.trainable().items() if not np.isfinite(t.data).all()]
+    if bad:
+        raise DataError(f"non-finite parameters {bad} after the last update")
     return params, history
 
 
-# --- experiment factories ----------------------------------------------------
+# --- experiment planner --------------------------------------------------------
+
+# kind -> (trace field naming a model's group, trace field naming its class)
+EXPERIMENT_FIELDS = {"user-id": ("task_id", "user_id"), "task": ("user_id", "task_id")}
+DEFAULT_SEQ_LEN = {"user-id": 512, "task": 64}
+
+
+def _noun(field_name: str) -> str:
+    return field_name.removesuffix("_id")
+
+
+@dataclass(frozen=True)
+class ModelJob:
+    """One model of an experiment: its group, classes, split and configs."""
+    model_id: str
+    kind: str                      # "user-id" | "task"
+    group: str                     # task label (user-id) or user label (task)
+    class_labels: tuple[str, ...]
+    train_traces: tuple[ForceTrace, ...]
+    test_traces: tuple[ForceTrace, ...]
+    train_cfg: TrainConfig
+    model_cfg: ModelConfig
+
+    def label_of(self, trace: ForceTrace) -> int:
+        return self.class_labels.index(getattr(trace, EXPERIMENT_FIELDS[self.kind][1]))
+
+    def featurize(self, traces, stats: NormStats | None = None) -> list[FeatureSequence]:
+        return [pipeline(tr, self.model_cfg.seq_len, stats=stats, label=self.label_of(tr))
+                for tr in traces]
+
+    @property
+    def split_digest(self) -> str:
+        """sha256 over the ordered train and test trace keys."""
+        keys = [[tr.key for tr in self.train_traces], [tr.key for tr in self.test_traces]]
+        return hashlib.sha256(json.dumps(keys, separators=(",", ":")).encode()).hexdigest()
+
+
+def featurize_job(job: ModelJob) -> tuple[list[FeatureSequence], list[FeatureSequence],
+                                          NormStats | None]:
+    """Train and test features; with normalize, z-scored by stats fitted on
+    the train split alone."""
+    train_fs = job.featurize(job.train_traces)
+    stats = None
+    if job.train_cfg.normalize:
+        stats = zscore_fit([fs.values for fs in train_fs])
+        train_fs = [FeatureSequence(zscore_apply(fs.values, stats), fs.label, fs.source)
+                    for fs in train_fs]
+    return train_fs, job.featurize(job.test_traces, stats), stats
+
+
+def plan_job(dataset: TraceDataset, kind: str, group: str, class_labels,
+             train_cfg: TrainConfig, model_cfg: ModelConfig) -> ModelJob:
+    """The one place a model's split is derived: the group's traces, every
+    class present, split under train_cfg's seed and per-class counts."""
+    group_field, class_field = EXPERIMENT_FIELDS[kind]
+    subset = dataset.subset(**{group_field: group})
+    missing = sorted(set(class_labels) - {getattr(tr, class_field) for tr in subset})
+    if missing:
+        raise DataError(f"{_noun(group_field)} {group!r} missing "
+                        f"{_noun(class_field)}s {missing}")
+    train_tr, test_tr = split_dataset(subset, train_cfg.train_per_class,
+                                      train_cfg.test_per_class, train_cfg.seed)
+    return ModelJob(
+        model_id=f"{kind}_{_noun(group_field)}-{group}",
+        kind=kind,
+        group=group,
+        class_labels=tuple(class_labels),
+        train_traces=tuple(train_tr),
+        test_traces=tuple(test_tr),
+        train_cfg=train_cfg,
+        model_cfg=model_cfg,
+    )
+
+
+def plan_experiment(dataset: TraceDataset, kind: str, train_cfg: TrainConfig,
+                    template: ModelConfig | None = None) -> list[ModelJob]:
+    """One job per group in sorted order; job i trains under seed + i."""
+    variants = {tr.variant for tr in dataset}
+    if len(variants) > 1:
+        raise DataError(f"experiment dataset mixes variants {sorted(variants)}; select one first")
+    group_field, class_field = EXPERIMENT_FIELDS[kind]
+    groups = sorted({getattr(tr, group_field) for tr in dataset})
+    classes = sorted({getattr(tr, class_field) for tr in dataset})
+    if len(classes) < 2:
+        raise DataError(f"{kind} experiment needs >= 2 {_noun(class_field)}s, got {classes}")
+    template = template or ModelConfig(seq_len=DEFAULT_SEQ_LEN[kind])
+    model_cfg = replace(template, num_classes=len(classes))
+    return [plan_job(dataset, kind, group, classes,
+                     replace(train_cfg, seed=train_cfg.seed + i), model_cfg)
+            for i, group in enumerate(groups)]
+
 
 @dataclass
 class TrainedModel:
@@ -199,55 +297,18 @@ class TrainedModel:
     params: ModelParams
     history: TrainHistory
     stats: NormStats | None
-    train_set: list[FeatureSequence]
+    train_keys: tuple[tuple, ...]  # trace keys of the train split, in order
     test_set: list[FeatureSequence]
     seed: int
+    split_digest: str
 
 
-def _featurize_split(train_traces: list[ForceTrace], test_traces: list[ForceTrace],
-                     label_of, seq_len: int, normalize: bool
-                     ) -> tuple[list[FeatureSequence], list[FeatureSequence], NormStats | None]:
-    train_fs = [pipeline(tr, seq_len, label=label_of(tr)) for tr in train_traces]
-    test_fs = [pipeline(tr, seq_len, label=label_of(tr)) for tr in test_traces]
-    stats = None
-    if normalize:
-        stats = zscore_fit([fs.values for fs in train_fs])
-        train_fs = [FeatureSequence(zscore_apply(fs.values, stats), fs.label, fs.source)
-                    for fs in train_fs]
-        test_fs = [FeatureSequence(zscore_apply(fs.values, stats), fs.label, fs.source)
-                   for fs in test_fs]
-    return train_fs, test_fs, stats
-
-
-def _single_variant(dataset: TraceDataset) -> None:
-    variants = {tr.variant for tr in dataset}
-    if len(variants) > 1:
-        raise DataError(f"experiment dataset mixes variants {sorted(variants)}; select one first")
-
-
-@dataclass(frozen=True)
-class _ModelJob:
-    model_id: str
-    kind: str
-    group: str
-    class_labels: tuple[str, ...]
-    train_traces: tuple[ForceTrace, ...]
-    test_traces: tuple[ForceTrace, ...]
-    train_cfg: TrainConfig
-    model_cfg: ModelConfig
-
-
-def _run_model_job(job: _ModelJob) -> TrainedModel:
-    label_index = {lab: i for i, lab in enumerate(job.class_labels)}
-    if job.kind == "user-id":
-        label_of = lambda tr: label_index[tr.user_id]
-    else:
-        label_of = lambda tr: label_index[tr.task_id]
-    train_fs, test_fs, stats = _featurize_split(
-        list(job.train_traces), list(job.test_traces), label_of,
-        job.model_cfg.seq_len, job.train_cfg.normalize,
-    )
-    params, history = train(job.train_cfg, job.model_cfg, train_fs)
+def run_job(job: ModelJob) -> TrainedModel:
+    train_fs, test_fs, stats = featurize_job(job)
+    try:
+        params, history = train(job.train_cfg, job.model_cfg, train_fs)
+    except DataError as exc:
+        raise DataError(f"model {job.model_id}: {exc}") from exc
     return TrainedModel(
         model_id=job.model_id,
         kind=job.kind,
@@ -256,17 +317,18 @@ def _run_model_job(job: _ModelJob) -> TrainedModel:
         params=params,
         history=history,
         stats=stats,
-        train_set=train_fs,
+        train_keys=tuple(fs.source for fs in train_fs),
         test_set=test_fs,
         seed=job.train_cfg.seed,
+        split_digest=job.split_digest,
     )
 
 
-def _run_jobs(jobs: list[_ModelJob], workers: int) -> list[TrainedModel]:
+def run_jobs(jobs: list[ModelJob], workers: int = 1) -> list[TrainedModel]:
     if workers <= 1 or len(jobs) <= 1:
-        return [_run_model_job(j) for j in jobs]
+        return [run_job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_run_model_job, jobs))
+        return list(ex.map(run_job, jobs))
 
 
 def train_user_id_models(dataset: TraceDataset, train_cfg: TrainConfig,
@@ -274,66 +336,14 @@ def train_user_id_models(dataset: TraceDataset, train_cfg: TrainConfig,
                          workers: int = 1) -> list[TrainedModel]:
     """One user-identification model per task: classes are the users, each
     contributing train_per_class/test_per_class trials of that task."""
-    _single_variant(dataset)
-    users = dataset.users
-    tasks = dataset.tasks
-    if len(users) < 2:
-        raise DataError(f"user-id experiment needs >= 2 users, got {users}")
-    template = model_template or ModelConfig(seq_len=512)
-    jobs = []
-    for i, task in enumerate(tasks):
-        cfg_i = replace(train_cfg, seed=train_cfg.seed + i)
-        task_subset = dataset.subset(task_id=task)
-        missing = sorted(set(users) - set(task_subset.users))
-        if missing:
-            raise DataError(f"task {task!r} missing users {missing}")
-        train_tr, test_tr = split_dataset(
-            task_subset, cfg_i.train_per_class, cfg_i.test_per_class, cfg_i.seed
-        )
-        jobs.append(_ModelJob(
-            model_id=f"user-id_task-{task}",
-            kind="user-id",
-            group=task,
-            class_labels=tuple(users),
-            train_traces=tuple(train_tr),
-            test_traces=tuple(test_tr),
-            train_cfg=cfg_i,
-            model_cfg=replace(template, num_classes=len(users)),
-        ))
-    return _run_jobs(jobs, workers)
+    return run_jobs(plan_experiment(dataset, "user-id", train_cfg, model_template), workers)
 
 
 def train_task_models(dataset: TraceDataset, train_cfg: TrainConfig,
                       model_template: ModelConfig | None = None,
                       workers: int = 1) -> list[TrainedModel]:
     """One task-classification model per user: classes are the tasks."""
-    _single_variant(dataset)
-    users = dataset.users
-    tasks = dataset.tasks
-    if len(tasks) < 2:
-        raise DataError(f"task experiment needs >= 2 tasks, got {tasks}")
-    template = model_template or ModelConfig(seq_len=64)
-    jobs = []
-    for i, user in enumerate(users):
-        cfg_i = replace(train_cfg, seed=train_cfg.seed + i)
-        user_subset = dataset.subset(user_id=user)
-        missing = sorted(set(tasks) - set(user_subset.tasks))
-        if missing:
-            raise DataError(f"user {user!r} missing tasks {missing}")
-        train_tr, test_tr = split_dataset(
-            user_subset, cfg_i.train_per_class, cfg_i.test_per_class, cfg_i.seed
-        )
-        jobs.append(_ModelJob(
-            model_id=f"task_user-{user}",
-            kind="task",
-            group=user,
-            class_labels=tuple(tasks),
-            train_traces=tuple(train_tr),
-            test_traces=tuple(test_tr),
-            train_cfg=cfg_i,
-            model_cfg=replace(template, num_classes=len(tasks)),
-        ))
-    return _run_jobs(jobs, workers)
+    return run_jobs(plan_experiment(dataset, "task", train_cfg, model_template), workers)
 
 
 # --- training-size sweep -------------------------------------------------------
@@ -371,13 +381,12 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
                         users: list[str] | None = None) -> list[SweepPoint]:
     """Task-classification accuracy as a function of per-class training size.
 
-    The per-user split is fixed (same derivation as train_task_models); each
+    The per-user split is fixed (the task experiment's plan); each
     size subsamples from that fixed train split and evaluates on the fixed
     test split, so the curve is comparable across sizes.
     """
     from .evaluation import evaluate_model
 
-    _single_variant(dataset)
     if not sizes:
         raise ConfigError("sweep needs at least one size")
     if any(s < 1 for s in sizes):
@@ -386,39 +395,23 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
         raise ConfigError(
             f"max sweep size {max(sizes)} exceeds train_per_class {train_cfg.train_per_class}"
         )
-    tasks = dataset.tasks
-    all_users = dataset.users
-    users = list(users) if users is not None else all_users
-    unknown = sorted(set(users) - set(all_users))
+    jobs = {job.group: job for job in plan_experiment(dataset, "task", train_cfg, model_template)}
+    users = list(users) if users is not None else list(jobs)
+    unknown = sorted(set(users) - set(jobs))
     if unknown:
         raise DataError(f"sweep users not in dataset: {unknown}")
-    template = model_template or ModelConfig(seq_len=64)
-    model_cfg = replace(template, num_classes=len(tasks))
-    label_index = {lab: i for i, lab in enumerate(tasks)}
-
-    prepared = []
-    for user in users:
-        i = all_users.index(user)
-        cfg_i = replace(train_cfg, seed=train_cfg.seed + i)
-        user_subset = dataset.subset(user_id=user)
-        train_tr, test_tr = split_dataset(
-            user_subset, cfg_i.train_per_class, cfg_i.test_per_class, cfg_i.seed
-        )
-        train_fs, test_fs, _ = _featurize_split(
-            train_tr, test_tr, lambda tr: label_index[tr.task_id],
-            model_cfg.seq_len, cfg_i.normalize,
-        )
-        prepared.append((user, cfg_i, train_fs, test_fs))
+    prepared = [(jobs[user], *featurize_job(jobs[user])[:2]) for user in users]
 
     points = []
     for size in sizes:
         per_group = {}
-        for user, cfg_i, train_fs, test_fs in prepared:
-            sub_rng = np.random.default_rng([cfg_i.seed, 3, size])
+        for job, train_fs, test_fs in prepared:
+            sub_rng = np.random.default_rng([job.train_cfg.seed, 3, size])
             subset = _subsample_per_class(train_fs, size, sub_rng)
-            params, _ = train(cfg_i, model_cfg, subset)
-            report = evaluate_model(params, test_fs, list(tasks), model_id=f"sweep-{user}-{size}")
-            per_group[user] = report.accuracy
+            params, _ = train(job.train_cfg, job.model_cfg, subset)
+            report = evaluate_model(params, test_fs, list(job.class_labels),
+                                    model_id=f"sweep-{job.group}-{size}")
+            per_group[job.group] = report.accuracy
         points.append(SweepPoint(
             size=size,
             mean_accuracy=float(np.mean(list(per_group.values()))),

@@ -115,10 +115,10 @@ def test_protocol_shape_conformance():
     uid_models = train_user_id_models(dataset, cfg, model_template=tiny)
     assert len(uid_models) == 7
     for tm in uid_models:
-        assert len(tm.train_set) == 1500
+        assert len(tm.train_keys) == 1500
         assert len(tm.test_set) == 300
         assert len(tm.class_labels) == 15
-        assert not {fs.source for fs in tm.train_set} & {fs.source for fs in tm.test_set}
+        assert not set(tm.train_keys) & {fs.source for fs in tm.test_set}
     uid_exp = evaluate_experiment(uid_models)
     assert len(uid_exp.reports) == 7
     assert len(uid_exp.per_user) == 15          # per-user precision averaged over tasks
@@ -127,10 +127,10 @@ def test_protocol_shape_conformance():
     task_models = train_task_models(dataset, cfg, model_template=tiny)
     assert len(task_models) == 15
     for tm in task_models:
-        assert len(tm.train_set) == 700
+        assert len(tm.train_keys) == 700
         assert len(tm.test_set) == 140
         assert len(tm.class_labels) == 7
-        assert not {fs.source for fs in tm.train_set} & {fs.source for fs in tm.test_set}
+        assert not set(tm.train_keys) & {fs.source for fs in tm.test_set}
     task_exp = evaluate_experiment(task_models)
     assert len(task_exp.reports) == 15
     assert all(r.total == 140 for r in task_exp.reports)

@@ -164,6 +164,37 @@ class TestTrainEval:
         for report in exp.reports:
             assert by_id[report.model_id]["matrix"] == report.matrix.tolist()
 
+    def test_eval_rejects_split_drift(self, tmp_path, capsys):
+        # trained on 6 trials per (user, task), evaluated against the 8-trial
+        # corpus of the same seed: re-deriving the split there would score
+        # training trials (u01,a,5), (u01,b,5) and (u01,b,1) as test
+        d6, d8, ckpt = tmp_path / "d6", tmp_path / "d8", tmp_path / "ck"
+        for out, trials in ((d6, "6"), (d8, "8")):
+            assert main(["synth", "--out", str(out), "--users", "2", "--tasks", "2",
+                         "--seed", "1", "--trials", trials]) == 0
+        assert main(["train-experiment", "--manifest", str(d6 / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt), "--train-per-class", "4",
+                     "--test-per-class", "2", "--epochs", "1", "--d-model", "16",
+                     "--heads", "2", "--ffn-dim", "16", "--seq-len", "16"]) == 0
+        evaluate = ["eval-experiment", "--checkpoints", str(ckpt), "--force"]
+        assert main(evaluate + ["--manifest", str(d6 / "manifest.json"),
+                                "--out", str(tmp_path / "r6")]) == 0
+        capsys.readouterr()
+        assert main(evaluate + ["--manifest", str(d8 / "manifest.json"),
+                                "--out", str(tmp_path / "r8")]) == 3
+        assert "model task_user-u01" in capsys.readouterr().err
+
+        # a checkpoint without the digest cannot be verified either
+        path = ckpt / "task_user-u01.ckpt"
+        raw = path.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        del header["meta"]["split_digest"]
+        path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        assert main(evaluate + ["--manifest", str(d6 / "manifest.json"),
+                                "--out", str(tmp_path / "r6")]) == 3
+        assert "model task_user-u01" in capsys.readouterr().err
+
     def test_insufficient_data_exit_3(self, dataset_dir, tmp_path):
         code = main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
                      "--kind", "task", "--out", str(tmp_path / "x"),

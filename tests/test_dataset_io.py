@@ -102,12 +102,6 @@ class TestForceTraceInvariants:
             ForceTrace(timestamps=np.float32([0.0]), forces=np.float32([[0, 0, 0]]),
                        user_id="u", task_id="a", trial_index=0, variant="smoothed")
 
-    def test_samples_view(self):
-        tr = parse_trace_csv("timestamp,fx,fy,fz\n0.0,1,2,3\n", user_id="u",
-                             task_id="a", trial_index=0)
-        s = tr.samples[0]
-        assert (s.timestamp, s.fx, s.fy, s.fz) == (0.0, 1.0, 2.0, 3.0)
-
 
 class TestManifestAndLoading:
     def test_duplicate_entries_rejected(self):

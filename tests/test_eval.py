@@ -12,11 +12,10 @@ from hapticauth import (
     evaluate_experiment,
     evaluate_model,
     metrics,
-    predict,
     train_task_models,
 )
 from hapticauth.errors import DataError, ShapeError
-from hapticauth.evaluation import matrix_csv, matrix_svg, write_experiment_files
+from hapticauth.evaluation import matrix_csv, matrix_svg, predict_batch, write_experiment_files
 
 from oracles import accuracy_precision, count_confusion
 
@@ -32,29 +31,18 @@ def seqs_for(params, n=6, seed=0):
 
 
 class TestPredict:
-    def test_probabilities_sum_to_one(self):
-        params = build_model(TINY, seed=0)
-        fs = seqs_for(params, 1)[0]
-        cls, probs = predict(params, fs)
-        assert probs.shape == (3,)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-        assert cls == int(np.argmax(probs))
-
     def test_exact_tie_takes_lowest_index(self):
         params = build_model(TINY, seed=1)
         params["head.w"].data[:] = 0.0
         params["head.b"].data[:] = 0.0  # all logits exactly equal
-        cls, probs = predict(params, seqs_for(params, 1)[0])
-        assert cls == 0
-        np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-7)
+        np.testing.assert_array_equal(predict_batch(params, seqs_for(params, 4)), 0)
 
     def test_logit_shift_invariant(self):
         params = build_model(TINY, seed=2)
-        fs = seqs_for(params, 1)[0]
-        cls1, _ = predict(params, fs)
+        seqs = seqs_for(params, 6)
+        preds1 = predict_batch(params, seqs)
         params["head.b"].data += 123.0
-        cls2, _ = predict(params, fs)
-        assert cls1 == cls2
+        np.testing.assert_array_equal(predict_batch(params, seqs), preds1)
 
 
     def test_inference_records_no_graph(self, monkeypatch):
@@ -70,8 +58,7 @@ class TestPredict:
 
         monkeypatch.setattr(evaluation, "forward", spy)
         preds = evaluation.predict_batch(params, seqs, batch_size=2)
-        predict(params, seqs[0])
-        assert len(logits) == 4
+        assert len(logits) == 3
         assert all(t._parents == () and t._backward is None for t in logits)
         expected = model.forward(params, np.stack([fs.values for fs in seqs])).data.argmax(axis=1)
         np.testing.assert_array_equal(preds, expected)
@@ -174,7 +161,7 @@ class TestEvaluate:
     def test_single_perfect_model(self):
         params = build_model(TINY, seed=7)
         fs = seqs_for(params, 12, seed=7)
-        preds = [predict(params, s)[0] for s in fs]
+        preds = [int(p) for p in predict_batch(params, fs)]
         relabeled = [FeatureSequence(s.values, p, s.source) for s, p in zip(fs, preds)]
         report = evaluate_model(params, relabeled, ["a", "b", "c"])
         assert report.accuracy == 1.0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapticauth import (
     AdamState,
@@ -19,7 +20,8 @@ from hapticauth import (
 )
 from hapticauth.errors import ConfigError, DataError
 from hapticauth.evaluation import evaluate_experiment
-from hapticauth.model import save_checkpoint
+from hapticauth.model import load_checkpoint, save_checkpoint
+from hapticauth.trainer import plan_experiment, run_jobs
 
 from oracles import adam_scalar_trajectory
 
@@ -229,7 +231,7 @@ class TestExperimentFactories:
         for tm in models:
             assert tm.kind == "task"
             assert tm.class_labels == ["a", "b"]
-            assert len(tm.train_set) == 5 * 2
+            assert len(tm.train_keys) == 5 * 2
             assert len(tm.test_set) == 2 * 2
             assert tm.params.config.num_classes == 2
 
@@ -239,7 +241,7 @@ class TestExperimentFactories:
         for tm in models:
             assert tm.kind == "user-id"
             assert tm.class_labels == ["u01", "u02", "u03"]
-            assert len(tm.train_set) == 5 * 3
+            assert len(tm.train_keys) == 5 * 3
             assert tm.params.config.num_classes == 3
 
     def test_user_id_generalizes_by_class_count(self):
@@ -264,7 +266,7 @@ class TestExperimentFactories:
     def test_disjoint_train_test(self, small_synth):
         models = train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
         for tm in models:
-            train_src = {fs.source for fs in tm.train_set}
+            train_src = set(tm.train_keys)
             test_src = {fs.source for fs in tm.test_set}
             assert not train_src & test_src
 
@@ -284,6 +286,19 @@ class TestExperimentFactories:
         with pytest.raises(DataError, match="variant"):
             train_task_models(mixed, _fast_cfg(), model_template=TINY_MODEL)
 
+    def test_nan_weight_after_last_update_names_model(self, small_synth, monkeypatch):
+        # relu maps NaN to 0, so a NaN written by the last update reaches no loss
+        from hapticauth import trainer
+
+        def poisoning_adam_step(params, grads, state, *args, **kwargs):
+            adam_step(params, grads, state, *args, **kwargs)
+            if state.step == 4:  # 10 train sequences, batch 8, 2 epochs
+                params["layers.0.ffn.w1"].data[0, 0] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", poisoning_adam_step)
+        with pytest.raises(DataError, match=r"model task_user-u01: .*layers\.0\.ffn\.w1"):
+            train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
+
     def test_parallel_workers_match_serial(self, small_synth):
         serial = train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
         parallel = train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL,
@@ -292,6 +307,42 @@ class TestExperimentFactories:
             assert a.model_id == b.model_id
             for name in a.params.names():
                 np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
+
+
+class TestPlanner:
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(["user-id", "task"]), users=st.integers(2, 3),
+           tasks=st.integers(2, 3), n_train=st.integers(1, 3), n_test=st.integers(1, 2),
+           spare=st.integers(0, 2), seed=st.integers(0, 10_000))
+    def test_splits_disjoint_balanced_and_rebuilt_from_checkpoint(
+            self, tmp_path_factory, kind, users, tasks, n_train, n_test, spare, seed):
+        from hapticauth.cli import _plan_from_meta, _save_trained
+
+        ds = synth_dataset(SynthConfig(num_users=users, tasks=("a", "b", "c")[:tasks],
+                                       trials_per_task=n_train + n_test + spare,
+                                       seed=seed, duration_range=(0.04, 0.06)))
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=seed,
+                          train_per_class=n_train, test_per_class=n_test)
+        tiny = ModelConfig(d_model=8, num_heads=1, ffn_dim=8, num_layers=1, seq_len=8)
+        jobs = plan_experiment(ds, kind, cfg, tiny)
+        assert [job.train_cfg.seed for job in jobs] == [seed + i for i in range(len(jobs))]
+        for job in jobs:
+            train_keys = [tr.key for tr in job.train_traces]
+            test_keys = [tr.key for tr in job.test_traces]
+            assert not set(train_keys) & set(test_keys)
+            for keys, per_class in ((train_keys, n_train), (test_keys, n_test)):
+                labels = [job.label_of(tr) for tr in job.train_traces + job.test_traces
+                          if tr.key in set(keys)]
+                assert np.bincount(labels).tolist() == [per_class] * len(job.class_labels)
+
+        out = tmp_path_factory.mktemp("plan")
+        for job, tm in zip(jobs, run_jobs(jobs)):
+            _save_trained(out, tm, "raw")
+            params, meta, _ = load_checkpoint(out / f"{tm.model_id}.ckpt")
+            rebuilt = _plan_from_meta(ds, meta, params.config)
+            for got, want in ((rebuilt.train_traces, job.train_traces),
+                              (rebuilt.test_traces, job.test_traces)):
+                assert [tr.key for tr in got] == [tr.key for tr in want]
 
 
 class TestSweep:
