@@ -68,11 +68,11 @@ from .trainer import (
     TrainedModel,
     adam_step,
     cosine_lr,
+    plan_experiment,
+    run_jobs,
     split_dataset,
     sweep_training_size,
     train,
-    train_task_models,
-    train_user_id_models,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +23,11 @@ from .autodiff import Tensor, grad_check
 from .dataset import (
     DEFAULT_TASKS,
     DatasetManifest,
-    ManifestEntry,
     SynthConfig,
+    TraceDataset,
     load_dataset,
     save_dataset,
     synth_dataset,
-    write_trace_csv,
 )
 from .errors import ConfigError, DataError, HapticAuthError
 from .evaluation import evaluate_experiment, write_experiment_files
@@ -49,7 +47,6 @@ from .trainer import (
     ModelJob,
     TrainConfig,
     TrainedModel,
-    TrainHistory,
     plan_experiment,
     plan_job,
     run_jobs,
@@ -116,15 +113,9 @@ def cmd_filter(args) -> int:
     if len(raw) == 0:
         raise DataError("manifest has no raw-variant entries to filter")
     out = _prepare_outdir(args.out, args.force)
-    entries = []
-    for tr in raw:
-        filtered = filter_trace(tr, args.alpha)
-        name = f"{tr.user_id}_{tr.task_id}_{tr.trial_index:04d}_filtered.csv"
-        (out / name).write_bytes(write_trace_csv(filtered))
-        entries.append(ManifestEntry(path=name, user=tr.user_id, task=tr.task_id,
-                                     trial=tr.trial_index, variant="filtered"))
-    DatasetManifest(entries=entries, sample_rate=manifest.sample_rate).save(out / "manifest.json")
-    print(f"filtered {len(entries)} traces (alpha={args.alpha}) into {out}")
+    save_dataset(TraceDataset(filter_trace(tr, args.alpha) for tr in raw), out,
+                 sample_rate=manifest.sample_rate)
+    print(f"filtered {len(raw)} traces (alpha={args.alpha}) into {out}")
     return 0
 
 
@@ -158,31 +149,32 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _save_trained(out: Path, tm: TrainedModel, variant: str) -> None:
+def _save_trained(out: Path, tm: TrainedModel) -> None:
+    job = tm.job
     meta = {
-        "model_id": tm.model_id,
-        "kind": tm.kind,
-        "group": tm.group,
-        "class_labels": tm.class_labels,
-        "variant": variant,
-        "seed": tm.seed,
-        "normalize": tm.stats is not None,
-        "train_per_class": len(tm.train_keys) // len(tm.class_labels),
-        "test_per_class": len(tm.test_set) // len(tm.class_labels),
-        "train_size": len(tm.train_keys),
-        "test_size": len(tm.test_set),
-        "split_digest": tm.split_digest,
+        "model_id": job.model_id,
+        "kind": job.kind,
+        "group": job.group,
+        "class_labels": list(job.class_labels),
+        "variant": job.train_traces[0].variant,
+        "seed": job.train_cfg.seed,
+        "normalize": job.train_cfg.normalize,
+        "train_per_class": job.train_cfg.train_per_class,
+        "test_per_class": job.train_cfg.test_per_class,
+        "train_size": len(job.train_traces),
+        "test_size": len(job.test_traces),
+        "split_digest": job.split_digest,
     }
     extras = {}
     if tm.stats is not None:
         extras = {"norm.mean": tm.stats.mean, "norm.std": tm.stats.std}
-    save_checkpoint(out / f"{tm.model_id}.ckpt", tm.params, meta=meta, extras=extras)
+    save_checkpoint(out / f"{job.model_id}.ckpt", tm.params, meta=meta, extras=extras)
     history_doc = {
-        "model": tm.model_id,
+        "model": job.model_id,
         "config": tm.params.config.to_dict(),
         "epochs": tm.history.to_records(),
     }
-    (out / f"{tm.model_id}.history.json").write_text(
+    (out / f"{job.model_id}.history.json").write_text(
         json.dumps(history_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -196,11 +188,14 @@ def cmd_train_experiment(args) -> int:
     train_cfg = _train_config(args)
     template = _model_template(args, args.kind)
     models = run_jobs(plan_experiment(dataset, args.kind, train_cfg, template), args.workers)
+    # an earlier run's models must not be evaluated alongside this run's
+    for stale in [*out.glob("*.ckpt"), *out.glob("*.history.json")]:
+        stale.unlink()
     for tm in models:
-        _save_trained(out, tm, args.variant)
+        _save_trained(out, tm)
         final = tm.history.train_acc[-1]
-        print(f"{tm.model_id}: train={len(tm.train_keys)} test={len(tm.test_set)} "
-              f"final_train_acc={final:.3f}")
+        print(f"{tm.job.model_id}: train={len(tm.job.train_traces)} "
+              f"test={len(tm.job.test_traces)} final_train_acc={final:.3f}")
     print(f"wrote {len(models)} checkpoints to {out}")
     return 0
 
@@ -213,7 +208,8 @@ def _plan_from_meta(dataset, meta: dict, model_cfg: ModelConfig) -> ModelJob:
     if "split_digest" not in meta:
         raise DataError(f"model {meta['model_id']}: checkpoint has no split digest, "
                         f"so its test split cannot be verified")
-    train_cfg = TrainConfig(seed=int(meta["seed"]), train_per_class=meta["train_per_class"],
+    train_cfg = TrainConfig(seed=int(meta["seed"]), normalize=meta["normalize"],
+                            train_per_class=meta["train_per_class"],
                             test_per_class=meta["test_per_class"])
     job = plan_job(dataset.subset(variant=meta["variant"]), meta["kind"], meta["group"],
                    meta["class_labels"], train_cfg, model_cfg)
@@ -251,15 +247,7 @@ def cmd_eval_experiment(args) -> int:
             if "norm.mean" not in extras or "norm.std" not in extras:
                 raise DataError(f"checkpoint {p} marked normalized but has no stats tensors")
             stats = NormStats(mean=extras["norm.mean"], std=extras["norm.std"])
-        job = _plan_from_meta(dataset, meta, params.config)
-        models.append(TrainedModel(
-            model_id=meta["model_id"], kind=job.kind, group=job.group,
-            class_labels=list(job.class_labels), params=params,
-            history=TrainHistory(), stats=stats,
-            train_keys=tuple(tr.key for tr in job.train_traces),
-            test_set=job.featurize(job.test_traces, stats), seed=job.train_cfg.seed,
-            split_digest=job.split_digest,
-        ))
+        models.append(TrainedModel(_plan_from_meta(dataset, meta, params.config), params, stats))
     exp = evaluate_experiment(models)
     write_experiment_files(exp, out, svg=not args.no_svg)
     for r in exp.reports:

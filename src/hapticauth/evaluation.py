@@ -134,7 +134,8 @@ class ExperimentReport:
 
 
 def evaluate_experiment(models: Sequence["TrainedModel"]) -> ExperimentReport:
-    """Score every model on its own test set and aggregate across models.
+    """Score every model on its job's test split, featurized with the model's
+    own normalization stats, and aggregate across models.
 
     For the user-identification experiment the aggregate is each user's
     precision averaged over the per-task models; for the task experiment it
@@ -142,29 +143,31 @@ def evaluate_experiment(models: Sequence["TrainedModel"]) -> ExperimentReport:
     """
     if not models:
         raise DataError("no models to evaluate")
-    kinds = {m.kind for m in models}
+    jobs = [m.job for m in models]
+    kinds = {job.kind for job in jobs}
     if len(kinds) != 1:
         raise DataError(f"cannot aggregate mixed experiment kinds {sorted(kinds)}")
     kind = kinds.pop()
 
     reports = []
-    for m in models:
-        if not m.test_set:
-            raise DataError(f"model {m.model_id} has no test set")
-        reports.append(evaluate_model(m.params, m.test_set, m.class_labels, m.model_id))
+    for m, job in zip(models, jobs):
+        if not job.test_traces:
+            raise DataError(f"model {job.model_id} has no test set")
+        test_set = job.featurize(job.test_traces, m.stats)
+        reports.append(evaluate_model(m.params, test_set, job.class_labels, job.model_id))
 
     mean_accuracy = float(np.mean([r.accuracy for r in reports]))
     per_user: dict[str, float] = {}
     if kind == "user-id":
-        users = models[0].class_labels
-        for m in models:
-            if m.class_labels != users:
-                raise DataError(f"model {m.model_id} has mismatched user labels")
+        users = jobs[0].class_labels
+        for job in jobs:
+            if job.class_labels != users:
+                raise DataError(f"model {job.model_id} has mismatched user labels")
         for i, user in enumerate(users):
             per_user[user] = float(np.mean([r.precision[i] for r in reports]))
     else:
-        for m, r in zip(models, reports):
-            per_user[m.group] = r.accuracy
+        for job, r in zip(jobs, reports):
+            per_user[job.group] = r.accuracy
     return ExperimentReport(kind=kind, reports=reports,
                             mean_accuracy=mean_accuracy, per_user=per_user)
 

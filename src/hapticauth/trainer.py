@@ -20,6 +20,7 @@ import numpy as np
 from .autodiff import backward
 from .dataset import ForceTrace, TraceDataset
 from .errors import ConfigError, DataError
+from .evaluation import evaluate_model
 from .features import FeatureSequence, pipeline
 from .model import ModelConfig, ModelParams, build_model, cross_entropy, forward
 from .signal import NormStats, zscore_apply, zscore_fit
@@ -31,10 +32,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 16
     seed: int = 0
-    lr_min: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     normalize: bool = True
     train_per_class: int = 100
     test_per_class: int = 20
@@ -46,8 +43,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lr_min < 0 or self.lr_min > self.learning_rate:
-            raise ConfigError(f"lr_min must lie in [0, learning_rate], got {self.lr_min}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ConfigError("train_per_class and test_per_class must be >= 1")
 
@@ -167,7 +162,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
     history = TrainHistory()
 
     for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.learning_rate, cfg.lr_min)
+        lr = cosine_lr(epoch, cfg.epochs, cfg.learning_rate)
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         correct = 0
@@ -183,7 +178,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
                                 f"at epoch {epoch}, step {step}")
             backward(loss)
             grads = {k: t.grad for k, t in params.trainable().items() if t.grad is not None}
-            adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+            adam_step(params, grads, state, lr)
             loss_sum += float(loss.data) * len(idx)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
         history.train_loss.append(loss_sum / n)
@@ -233,17 +228,16 @@ class ModelJob:
         return hashlib.sha256(json.dumps(keys, separators=(",", ":")).encode()).hexdigest()
 
 
-def featurize_job(job: ModelJob) -> tuple[list[FeatureSequence], list[FeatureSequence],
-                                          NormStats | None]:
-    """Train and test features; with normalize, z-scored by stats fitted on
-    the train split alone."""
+def featurize_job(job: ModelJob) -> tuple[list[FeatureSequence], NormStats | None]:
+    """Train features and, with normalize, the z-score stats fitted on them;
+    the test split is featurized with the same stats where it is scored."""
     train_fs = job.featurize(job.train_traces)
     stats = None
     if job.train_cfg.normalize:
         stats = zscore_fit([fs.values for fs in train_fs])
         train_fs = [FeatureSequence(zscore_apply(fs.values, stats), fs.label, fs.source)
                     for fs in train_fs]
-    return train_fs, job.featurize(job.test_traces, stats), stats
+    return train_fs, stats
 
 
 def plan_job(dataset: TraceDataset, kind: str, group: str, class_labels,
@@ -290,60 +284,30 @@ def plan_experiment(dataset: TraceDataset, kind: str, train_cfg: TrainConfig,
 
 @dataclass
 class TrainedModel:
-    model_id: str
-    kind: str                      # "user-id" | "task"
-    group: str                     # task label (user-id) or user label (task)
-    class_labels: list[str]
+    """A model as its job plus what training made from it."""
+    job: ModelJob
     params: ModelParams
-    history: TrainHistory
     stats: NormStats | None
-    train_keys: tuple[tuple, ...]  # trace keys of the train split, in order
-    test_set: list[FeatureSequence]
-    seed: int
-    split_digest: str
+    history: TrainHistory = field(default_factory=TrainHistory)
 
 
-def run_job(job: ModelJob) -> TrainedModel:
-    train_fs, test_fs, stats = featurize_job(job)
+def run_job(job: ModelJob) -> tuple[ModelParams, NormStats | None, TrainHistory]:
+    train_fs, stats = featurize_job(job)
     try:
         params, history = train(job.train_cfg, job.model_cfg, train_fs)
     except DataError as exc:
         raise DataError(f"model {job.model_id}: {exc}") from exc
-    return TrainedModel(
-        model_id=job.model_id,
-        kind=job.kind,
-        group=job.group,
-        class_labels=list(job.class_labels),
-        params=params,
-        history=history,
-        stats=stats,
-        train_keys=tuple(fs.source for fs in train_fs),
-        test_set=test_fs,
-        seed=job.train_cfg.seed,
-        split_digest=job.split_digest,
-    )
+    return params, stats, history
 
 
 def run_jobs(jobs: list[ModelJob], workers: int = 1) -> list[TrainedModel]:
+    """Train every job, in order; each worker sends back only what training made."""
     if workers <= 1 or len(jobs) <= 1:
-        return [run_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run_job, jobs))
-
-
-def train_user_id_models(dataset: TraceDataset, train_cfg: TrainConfig,
-                         model_template: ModelConfig | None = None,
-                         workers: int = 1) -> list[TrainedModel]:
-    """One user-identification model per task: classes are the users, each
-    contributing train_per_class/test_per_class trials of that task."""
-    return run_jobs(plan_experiment(dataset, "user-id", train_cfg, model_template), workers)
-
-
-def train_task_models(dataset: TraceDataset, train_cfg: TrainConfig,
-                      model_template: ModelConfig | None = None,
-                      workers: int = 1) -> list[TrainedModel]:
-    """One task-classification model per user: classes are the tasks."""
-    return run_jobs(plan_experiment(dataset, "task", train_cfg, model_template), workers)
+        results = [run_job(j) for j in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(run_job, jobs))
+    return [TrainedModel(job, *made) for job, made in zip(jobs, results)]
 
 
 # --- training-size sweep -------------------------------------------------------
@@ -385,8 +349,6 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
     size subsamples from that fixed train split and evaluates on the fixed
     test split, so the curve is comparable across sizes.
     """
-    from .evaluation import evaluate_model
-
     if not sizes:
         raise ConfigError("sweep needs at least one size")
     if any(s < 1 for s in sizes):
@@ -400,7 +362,11 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
     unknown = sorted(set(users) - set(jobs))
     if unknown:
         raise DataError(f"sweep users not in dataset: {unknown}")
-    prepared = [(jobs[user], *featurize_job(jobs[user])[:2]) for user in users]
+    prepared = []
+    for user in users:
+        job = jobs[user]
+        train_fs, stats = featurize_job(job)
+        prepared.append((job, train_fs, job.featurize(job.test_traces, stats)))
 
     points = []
     for size in sizes:

@@ -24,11 +24,11 @@ from hapticauth import (
     extract_features,
     forward,
     metrics,
+    plan_experiment,
+    run_jobs,
     synth_dataset,
     sweep_training_size,
     train,
-    train_task_models,
-    train_user_id_models,
 )
 from hapticauth.autodiff import grad_check
 from hapticauth.cli import main
@@ -112,25 +112,27 @@ def test_protocol_shape_conformance():
                       train_per_class=100, test_per_class=20)
     tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=2, seq_len=16)
 
-    uid_models = train_user_id_models(dataset, cfg, model_template=tiny)
+    uid_models = run_jobs(plan_experiment(dataset, "user-id", cfg, tiny))
     assert len(uid_models) == 7
     for tm in uid_models:
-        assert len(tm.train_keys) == 1500
-        assert len(tm.test_set) == 300
-        assert len(tm.class_labels) == 15
-        assert not set(tm.train_keys) & {fs.source for fs in tm.test_set}
+        assert len(tm.job.train_traces) == 1500
+        assert len(tm.job.test_traces) == 300
+        assert len(tm.job.class_labels) == 15
+        assert not ({tr.key for tr in tm.job.train_traces}
+                    & {tr.key for tr in tm.job.test_traces})
     uid_exp = evaluate_experiment(uid_models)
     assert len(uid_exp.reports) == 7
     assert len(uid_exp.per_user) == 15          # per-user precision averaged over tasks
     assert all(r.total == 300 for r in uid_exp.reports)
 
-    task_models = train_task_models(dataset, cfg, model_template=tiny)
+    task_models = run_jobs(plan_experiment(dataset, "task", cfg, tiny))
     assert len(task_models) == 15
     for tm in task_models:
-        assert len(tm.train_keys) == 700
-        assert len(tm.test_set) == 140
-        assert len(tm.class_labels) == 7
-        assert not set(tm.train_keys) & {fs.source for fs in tm.test_set}
+        assert len(tm.job.train_traces) == 700
+        assert len(tm.job.test_traces) == 140
+        assert len(tm.job.class_labels) == 7
+        assert not ({tr.key for tr in tm.job.train_traces}
+                    & {tr.key for tr in tm.job.test_traces})
     task_exp = evaluate_experiment(task_models)
     assert len(task_exp.reports) == 15
     assert all(r.total == 140 for r in task_exp.reports)
@@ -141,9 +143,9 @@ def test_protocol_shape_conformance():
 
 def test_synthetic_separability_benchmark(benchmark_dataset):
     start = time.perf_counter()
-    uid_models = train_user_id_models(benchmark_dataset, BENCH_TRAIN, model_template=BENCH_MODEL)
+    uid_models = run_jobs(plan_experiment(benchmark_dataset, "user-id", BENCH_TRAIN, BENCH_MODEL))
     uid_report = evaluate_experiment(uid_models)
-    task_models = train_task_models(benchmark_dataset, BENCH_TRAIN, model_template=BENCH_MODEL)
+    task_models = run_jobs(plan_experiment(benchmark_dataset, "task", BENCH_TRAIN, BENCH_MODEL))
     task_report = evaluate_experiment(task_models)
     elapsed = time.perf_counter() - start
     assert uid_report.mean_accuracy >= 0.90, f"user-id accuracy {uid_report.mean_accuracy}"

@@ -152,13 +152,14 @@ class TestTrainEval:
                      "--out", str(reports)]) == 0
         agg = json.loads((reports / "aggregate.json").read_text())
 
-        from hapticauth import ModelConfig, TrainConfig, evaluate_experiment, train_task_models
+        from hapticauth import (ModelConfig, TrainConfig, evaluate_experiment,
+                                plan_experiment, run_jobs)
         manifest = DatasetManifest.load(dataset_dir / "manifest.json")
         ds = load_dataset(manifest, dataset_dir).subset(variant="raw")
         cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=3,
                           train_per_class=3, test_per_class=1)
         tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=2, seq_len=16)
-        exp = evaluate_experiment(train_task_models(ds, cfg, model_template=tiny))
+        exp = evaluate_experiment(run_jobs(plan_experiment(ds, "task", cfg, tiny)))
         assert agg["mean_accuracy"] == pytest.approx(exp.mean_accuracy)
         by_id = {r["model"]: r for r in agg["models"]}
         for report in exp.reports:
@@ -194,6 +195,23 @@ class TestTrainEval:
         assert main(evaluate + ["--manifest", str(d6 / "manifest.json"),
                                 "--out", str(tmp_path / "r6")]) == 3
         assert "model task_user-u01" in capsys.readouterr().err
+
+    def test_force_retrain_drops_earlier_runs_checkpoints(self, tmp_path):
+        # a 3-user run, then a 2-user run forced into the same directory:
+        # evaluation must see only the second run's two models
+        d3, d2, ckpt, reports = (tmp_path / n for n in ("d3", "d2", "ck", "rep"))
+        assert main(synth_args(d3, users=3)) == 0
+        assert main(synth_args(d2, users=2)) == 0
+        train = ["train-experiment", "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS
+        assert main(train + ["--manifest", str(d3 / "manifest.json")]) == 0
+        assert main(train + ["--manifest", str(d2 / "manifest.json"), "--force"]) == 0
+        assert sorted(p.name for p in ckpt.iterdir()) == [
+            "task_user-u01.ckpt", "task_user-u01.history.json",
+            "task_user-u02.ckpt", "task_user-u02.history.json"]
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(d3 / "manifest.json"), "--out", str(reports)]) == 0
+        agg = json.loads((reports / "aggregate.json").read_text())
+        assert [m["model"] for m in agg["models"]] == ["task_user-u01", "task_user-u02"]
 
     def test_insufficient_data_exit_3(self, dataset_dir, tmp_path):
         code = main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),

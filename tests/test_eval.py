@@ -12,7 +12,8 @@ from hapticauth import (
     evaluate_experiment,
     evaluate_model,
     metrics,
-    train_task_models,
+    plan_experiment,
+    run_jobs,
 )
 from hapticauth.errors import DataError, ShapeError
 from hapticauth.evaluation import matrix_csv, matrix_svg, predict_batch, write_experiment_files
@@ -150,13 +151,13 @@ class TestEvaluate:
                           train_per_class=5, test_per_class=2)
         tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1,
                            num_classes=2, seq_len=16)
-        models = train_task_models(small_synth, cfg, model_template=tiny)
+        models = run_jobs(plan_experiment(small_synth, "task", cfg, tiny))
         exp = evaluate_experiment(models)
         assert exp.kind == "task"
         assert len(exp.reports) == 3
         assert exp.mean_accuracy == pytest.approx(
             sum(r.accuracy for r in exp.reports) / len(exp.reports))
-        assert exp.per_user == {m.group: r.accuracy for m, r in zip(models, exp.reports)}
+        assert exp.per_user == {m.job.group: r.accuracy for m, r in zip(models, exp.reports)}
 
     def test_single_perfect_model(self):
         params = build_model(TINY, seed=7)
@@ -171,9 +172,8 @@ class TestEvaluate:
                           train_per_class=5, test_per_class=2)
         tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1,
                            num_classes=2, seq_len=16)
-        from hapticauth import train_user_id_models
-        a = train_task_models(small_synth, cfg, model_template=tiny)
-        b = train_user_id_models(small_synth, cfg, model_template=tiny)
+        a = run_jobs(plan_experiment(small_synth, "task", cfg, tiny))
+        b = run_jobs(plan_experiment(small_synth, "user-id", cfg, tiny))
         with pytest.raises(DataError):
             evaluate_experiment(a + b)
 
@@ -201,7 +201,7 @@ class TestReportFiles:
                           train_per_class=5, test_per_class=2)
         tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1,
                            num_classes=2, seq_len=16)
-        models = train_task_models(small_synth, cfg, model_template=tiny)
+        models = run_jobs(plan_experiment(small_synth, "task", cfg, tiny))
         exp = evaluate_experiment(models)
         written = write_experiment_files(exp, tmp_path)
         names = {p.name for p in written}

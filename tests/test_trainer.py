@@ -11,17 +11,16 @@ from hapticauth import (
     adam_step,
     build_model,
     cosine_lr,
+    plan_experiment,
+    run_jobs,
     split_dataset,
     synth_dataset,
     sweep_training_size,
     train,
-    train_task_models,
-    train_user_id_models,
 )
 from hapticauth.errors import ConfigError, DataError
 from hapticauth.evaluation import evaluate_experiment
 from hapticauth.model import load_checkpoint, save_checkpoint
-from hapticauth.trainer import plan_experiment, run_jobs
 
 from oracles import adam_scalar_trajectory
 
@@ -46,9 +45,9 @@ class TestSplitDataset:
         ds = synth_dataset(cfg)
         train_tr, test_tr = split_dataset(ds, 100, 20, seed=3)
         assert len(train_tr) == 200 and len(test_tr) == 40
-        train_keys = {tr.key for tr in train_tr}
-        test_keys = {tr.key for tr in test_tr}
-        assert not train_keys & test_keys
+        train_ids = {tr.key for tr in train_tr}
+        test_ids = {tr.key for tr in test_tr}
+        assert not train_ids & test_ids
 
     def test_deterministic(self):
         cfg = SynthConfig(num_users=2, tasks=("a", "b"), trials_per_task=10, seed=2,
@@ -224,24 +223,28 @@ def _fast_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def _train(dataset, kind, cfg):
+    return run_jobs(plan_experiment(dataset, kind, cfg, TINY_MODEL))
+
+
 class TestExperimentFactories:
     def test_task_models_one_per_user(self, small_synth):
-        models = train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
+        models = _train(small_synth, "task", _fast_cfg())
         assert len(models) == 3
         for tm in models:
-            assert tm.kind == "task"
-            assert tm.class_labels == ["a", "b"]
-            assert len(tm.train_keys) == 5 * 2
-            assert len(tm.test_set) == 2 * 2
+            assert tm.job.kind == "task"
+            assert tm.job.class_labels == ("a", "b")
+            assert len(tm.job.train_traces) == 5 * 2
+            assert len(tm.job.test_traces) == 2 * 2
             assert tm.params.config.num_classes == 2
 
     def test_user_id_models_one_per_task(self, small_synth):
-        models = train_user_id_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
+        models = _train(small_synth, "user-id", _fast_cfg())
         assert len(models) == 2
         for tm in models:
-            assert tm.kind == "user-id"
-            assert tm.class_labels == ["u01", "u02", "u03"]
-            assert len(tm.train_keys) == 5 * 3
+            assert tm.job.kind == "user-id"
+            assert tm.job.class_labels == ("u01", "u02", "u03")
+            assert len(tm.job.train_traces) == 5 * 3
             assert tm.params.config.num_classes == 3
 
     def test_user_id_generalizes_by_class_count(self):
@@ -249,25 +252,24 @@ class TestExperimentFactories:
         cfg = SynthConfig(num_users=2, trials_per_task=4, seed=4,
                           duration_range=(0.05, 0.08))
         ds = synth_dataset(cfg)
-        models = train_user_id_models(ds, _fast_cfg(train_per_class=3, test_per_class=1),
-                                      model_template=TINY_MODEL)
+        models = _train(ds, "user-id", _fast_cfg(train_per_class=3, test_per_class=1))
         assert len(models) == 7
         assert all(tm.params.config.num_classes == 2 for tm in models)
 
     def test_single_user_task_experiment(self, small_synth):
         solo = small_synth.subset(user_id="u01")
-        models = train_task_models(solo, _fast_cfg(), model_template=TINY_MODEL)
+        models = _train(solo, "task", _fast_cfg())
         assert len(models) == 1
 
     def test_derived_seeds_differ(self, small_synth):
-        models = train_task_models(small_synth, _fast_cfg(seed=100), model_template=TINY_MODEL)
-        assert [tm.seed for tm in models] == [100, 101, 102]
+        models = _train(small_synth, "task", _fast_cfg(seed=100))
+        assert [tm.job.train_cfg.seed for tm in models] == [100, 101, 102]
 
     def test_disjoint_train_test(self, small_synth):
-        models = train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
+        models = _train(small_synth, "task", _fast_cfg())
         for tm in models:
-            train_src = set(tm.train_keys)
-            test_src = {fs.source for fs in tm.test_set}
+            train_src = {tr.key for tr in tm.job.train_traces}
+            test_src = {tr.key for tr in tm.job.test_traces}
             assert not train_src & test_src
 
     def test_coverage_gap_rejected(self, small_synth):
@@ -276,7 +278,7 @@ class TestExperimentFactories:
         truncated = TraceDataset([tr for tr in small_synth
                                   if not (tr.user_id == "u02" and tr.task_id == "b")])
         with pytest.raises(DataError):
-            train_task_models(truncated, _fast_cfg(), model_template=TINY_MODEL)
+            _train(truncated, "task", _fast_cfg())
 
     def test_mixed_variants_rejected(self, small_synth):
         from hapticauth import TraceDataset
@@ -284,7 +286,7 @@ class TestExperimentFactories:
         mixed = TraceDataset(list(small_synth.traces)
                              + [filter_trace(small_synth.traces[0])])
         with pytest.raises(DataError, match="variant"):
-            train_task_models(mixed, _fast_cfg(), model_template=TINY_MODEL)
+            _train(mixed, "task", _fast_cfg())
 
     def test_nan_weight_after_last_update_names_model(self, small_synth, monkeypatch):
         # relu maps NaN to 0, so a NaN written by the last update reaches no loss
@@ -297,14 +299,16 @@ class TestExperimentFactories:
 
         monkeypatch.setattr(trainer, "adam_step", poisoning_adam_step)
         with pytest.raises(DataError, match=r"model task_user-u01: .*layers\.0\.ffn\.w1"):
-            train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
+            _train(small_synth, "task", _fast_cfg())
 
     def test_parallel_workers_match_serial(self, small_synth):
-        serial = train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL)
-        parallel = train_task_models(small_synth, _fast_cfg(), model_template=TINY_MODEL,
-                                     workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.model_id == b.model_id
+        jobs = plan_experiment(small_synth, "task", _fast_cfg(), TINY_MODEL)
+        serial = run_jobs(jobs)
+        parallel = run_jobs(jobs, workers=2)
+        assert len(serial) == len(parallel) == len(jobs)
+        for job, a, b in zip(jobs, serial, parallel):
+            assert a.job is job and b.job is job
+            assert a.history.train_loss == b.history.train_loss
             for name in a.params.names():
                 np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
@@ -327,18 +331,18 @@ class TestPlanner:
         jobs = plan_experiment(ds, kind, cfg, tiny)
         assert [job.train_cfg.seed for job in jobs] == [seed + i for i in range(len(jobs))]
         for job in jobs:
-            train_keys = [tr.key for tr in job.train_traces]
-            test_keys = [tr.key for tr in job.test_traces]
-            assert not set(train_keys) & set(test_keys)
-            for keys, per_class in ((train_keys, n_train), (test_keys, n_test)):
+            train_ids = [tr.key for tr in job.train_traces]
+            test_ids = [tr.key for tr in job.test_traces]
+            assert not set(train_ids) & set(test_ids)
+            for keys, per_class in ((train_ids, n_train), (test_ids, n_test)):
                 labels = [job.label_of(tr) for tr in job.train_traces + job.test_traces
                           if tr.key in set(keys)]
                 assert np.bincount(labels).tolist() == [per_class] * len(job.class_labels)
 
         out = tmp_path_factory.mktemp("plan")
         for job, tm in zip(jobs, run_jobs(jobs)):
-            _save_trained(out, tm, "raw")
-            params, meta, _ = load_checkpoint(out / f"{tm.model_id}.ckpt")
+            _save_trained(out, tm)
+            params, meta, _ = load_checkpoint(out / f"{job.model_id}.ckpt")
             rebuilt = _plan_from_meta(ds, meta, params.config)
             for got, want in ((rebuilt.train_traces, job.train_traces),
                               (rebuilt.test_traces, job.test_traces)):
@@ -356,8 +360,7 @@ class TestSweep:
         points = sweep_training_size(small_synth, cfg, sizes=(2, 5),
                                      model_template=TINY_MODEL, users=["u01"])
         assert [pt.size for pt in points] == [2, 5]
-        full = train_task_models(small_synth.subset(user_id="u01"), cfg,
-                                 model_template=TINY_MODEL)
+        full = _train(small_synth.subset(user_id="u01"), "task", cfg)
         report = evaluate_experiment(full)
         assert points[-1].per_group["u01"] == pytest.approx(report.reports[0].accuracy)
 
