@@ -25,6 +25,7 @@ from .dataset import (
     DatasetManifest,
     SynthConfig,
     TraceDataset,
+    atomic_write,
     load_dataset,
     save_dataset,
     synth_dataset,
@@ -174,9 +175,8 @@ def _save_trained(out: Path, tm: TrainedModel) -> None:
         "config": tm.params.config.to_dict(),
         "epochs": tm.history.to_records(),
     }
-    (out / f"{job.model_id}.history.json").write_text(
-        json.dumps(history_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out / f"{job.model_id}.history.json") as fh:
+        fh.write((json.dumps(history_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def cmd_train_experiment(args) -> int:

@@ -14,9 +14,11 @@ import hashlib
 import io
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,6 +136,23 @@ def write_trace_csv(trace: ForceTrace) -> bytes:
         # str() of a float32 scalar prints the shortest digits that parse back bit-exactly
         buf.write(f"{t},{x},{y},{z}\n")
     return buf.getvalue().encode("utf-8")
+
+
+@contextmanager
+def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
+    """Binary file handle on a temp file beside `path`, moved onto `path` by
+    os.replace when the block ends: readers see the earlier file or the whole
+    new one, never a partial one.  If the block raises, the temp file is
+    removed and `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)

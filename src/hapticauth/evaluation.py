@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .dataset import atomic_write
 from .errors import DataError, ShapeError
 from .features import FeatureSequence
 from .model import ModelParams, forward
@@ -230,40 +231,57 @@ def matrix_svg(report: EvalReport, cell: int = 48) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_text(path: Path, text: str) -> Path:
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
+    return path
+
+
 def write_report_files(report: EvalReport, out_dir: Path | str, svg: bool = True) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    json_path = out / f"{report.model_id}.json"
-    json_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
-    written.append(json_path)
-    csv_path = out / f"{report.model_id}.csv"
-    csv_path.write_text(matrix_csv(report), encoding="utf-8")
-    written.append(csv_path)
+    written = [
+        _write_text(out / f"{report.model_id}.json",
+                    json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
+        _write_text(out / f"{report.model_id}.csv", matrix_csv(report)),
+    ]
     if svg:
-        svg_path = out / f"{report.model_id}.svg"
-        svg_path.write_text(matrix_svg(report), encoding="utf-8")
-        written.append(svg_path)
+        written.append(_write_text(out / f"{report.model_id}.svg", matrix_svg(report)))
     return written
+
+
+def _listed_report_files(out: Path) -> set[Path]:
+    """The per-model files of the experiment whose aggregate.json is in `out`."""
+    agg = out / "aggregate.json"
+    if not agg.exists():
+        return set()
+    try:
+        ids = [m["model"] for m in json.loads(agg.read_text(encoding="utf-8"))["models"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot tell which reports {agg} lists: {exc}") from None
+    return {out / f"{mid}{ext}" for mid in ids if Path(mid).name == mid
+            for ext in (".json", ".csv", ".svg")}
 
 
 def write_experiment_files(exp: ExperimentReport, out_dir: Path | str,
                            svg: bool = True) -> list[Path]:
+    """Per-model report files plus aggregate.json and aggregate.csv.  A
+    directory holds one experiment's reports: the per-model files that an
+    earlier aggregate.json there lists and this call does not rewrite are
+    removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    earlier = _listed_report_files(out)
     written = []
     for report in exp.reports:
         written.extend(write_report_files(report, out, svg=svg))
-    agg_json = out / "aggregate.json"
-    agg_json.write_text(json.dumps(exp.to_dict(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    written.append(agg_json)
+    written.append(_write_text(out / "aggregate.json",
+                               json.dumps(exp.to_dict(), indent=2, sort_keys=True) + "\n"))
     metric = "mean_precision" if exp.kind == "user-id" else "accuracy"
     lines = [f"user,{metric}"]
     for user in sorted(exp.per_user):
         lines.append(f"{user},{exp.per_user[user]}")
-    agg_csv = out / "aggregate.csv"
-    agg_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(agg_csv)
+    written.append(_write_text(out / "aggregate.csv", "\n".join(lines) + "\n"))
+    for stale in earlier - set(written):
+        stale.unlink(missing_ok=True)
     return written

@@ -18,10 +18,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, _make
+from .dataset import atomic_write
 from .errors import ConfigError, DataError, ShapeError
 
 CHECKPOINT_VERSION = 1
 PAPER_SEQ_LENS = (64, 512)
+# elements in one (heads, L, L) attention score block: 1 MB of float32, so a
+# block stays in a 2 MB per-core L2 cache
+SCORE_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -170,11 +174,15 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     scaling; heads concatenated then output-projected.
 
     One graph node with parents (x, wq, wk, wv, wo) and a hand-written
-    backward.  The (B, h, L, L) attention tensor exists once: the scores are
-    written into the probabilities buffer and normalised in place, one
-    sample at a time, and backward keeps only q, k, v, the context and the
-    probabilities (the memory-saving attention of Rabe & Staats 2021 and
-    FlashAttention, without the recomputation)."""
+    backward.  The softmax is never normalised over the (L, L) scores: v
+    carries a column of ones, so e @ [v | 1] with e = exp(s - rowmax) gives
+    the context numerator and the row sums l in one GEMM, and the context is
+    the numerator times 1/l (the output-side normalisation of FlashAttention,
+    Dao et al. 2022).  Scores are handled one (sample, chunk of heads) block
+    of at most SCORE_BLOCK elements at a time.  When an input needs a
+    gradient, the (B, h, L, L) exponentials e and 1/l are kept for backward;
+    otherwise one block-sized scratch array is reused and no score tensor
+    outlives its block."""
     if x.data.ndim != 3:
         raise ShapeError(f"mhsa expects (B, L, d) input, got {x.shape}")
     bsz, length, d = x.shape
@@ -186,46 +194,63 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     head_dim = d // num_heads
     dtype = x.data.dtype
     scale = dtype.type(1.0 / math.sqrt(head_dim))
+    chunk = max(1, min(num_heads, SCORE_BLOCK // (length * length)))
+    blocks = [(b, slice(h0, min(h0 + chunk, num_heads))) for b in range(bsz)
+              for h0 in range(0, num_heads, chunk)]
 
-    # per-head blocks are made contiguous: BLAS runs the L x L products on
-    # strided (row stride d) head views several times slower
-    def heads(a: np.ndarray) -> np.ndarray:  # (B·L, d) -> (B, h, L, dh)
-        return np.ascontiguousarray(a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3))
+    def heads(a: np.ndarray) -> np.ndarray:  # (B·L, d) -> (B, h, L, dh) view
+        return a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3)
 
     def merge(a: np.ndarray) -> np.ndarray:  # (B, h, L, dh) -> (B·L, d)
         return a.transpose(0, 2, 1, 3).reshape(bsz * length, d)
 
+    # per-head blocks are copied contiguous: BLAS runs the L x L products on
+    # strided (row stride d) head views several times slower
     x_flat = x.data.reshape(bsz * length, d)
-    q, k, v = (heads(x_flat @ w.data) for w in (wq, wk, wv))
+    q, k = (np.ascontiguousarray(heads(x_flat @ w.data)) for w in (wq, wk))
     q *= scale  # scaling q, not the (L, L) scores, saves a pass over them
-    probs = np.empty((bsz, num_heads, length, length), dtype=dtype)
-    ctx = np.empty_like(q)
-    for b in range(bsz):
-        p = probs[b]
-        np.matmul(q[b], k[b].transpose(0, 2, 1), out=p)
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, v[b], out=ctx[b])
+    v1 = np.empty((bsz, num_heads, length, head_dim + 1), dtype=dtype)  # [v | 1]
+    v1[..., :head_dim] = heads(x_flat @ wv.data)
+    v1[..., head_dim] = 1
+    needs_grad = any(t.requires_grad for t in (x, wq, wk, wv, wo))
+    if needs_grad:
+        exps = np.empty((bsz, num_heads, length, length), dtype=dtype)
+    else:
+        scratch = np.empty((chunk, length, length), dtype=dtype)
+    num = np.empty_like(v1)  # [e @ v | l]
+    for b, hs in blocks:
+        e = exps[b, hs] if needs_grad else scratch[:hs.stop - hs.start]
+        np.matmul(q[b, hs], k[b, hs].transpose(0, 2, 1), out=e)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        np.matmul(e, v1[b, hs], out=num[b, hs])
+    inv_l = 1 / num[..., head_dim:]
+    ctx = num[..., :head_dim]
+    ctx *= inv_l
     ctx_flat = merge(ctx)
     out_data = (ctx_flat @ wo.data).reshape(bsz, length, d)
 
     def backward_fn(g):
         g = g.reshape(bsz * length, d)
         ad._accumulate(wo, ctx_flat.T @ g)
-        dctx = heads(g @ wo.data.T)
+        # softmax backward: ds = p * (dctx v^T - rowsum(dctx * ctx)) with
+        # p = e / l, which is e * (a @ [v | 1]^T) for a = [dctx | -rowsum] / l
+        a = np.empty_like(v1)
+        dctx = a[..., :head_dim]
+        dctx[...] = heads(g @ wo.data.T)
+        a[..., head_dim] = -np.einsum("bhld,bhld->bhl", dctx, ctx)
+        a *= inv_l
         dqkv = np.empty((3,) + q.shape, dtype=dtype)
         dq, dk, dv = dqkv
-        for b in range(bsz):
-            p = probs[b]
-            np.matmul(p.transpose(0, 2, 1), dctx[b], out=dv[b])
-            # softmax backward, ds = p * (dp - rowsum(dp * p)); the row sum
-            # equals rowsum(dctx * ctx), which needs no (h, L, L) temporary
-            ds = dctx[b] @ v[b].transpose(0, 2, 1)
-            ds -= (dctx[b] * ctx[b]).sum(axis=-1, keepdims=True)
-            ds *= p
-            np.matmul(ds, k[b], out=dq[b])
-            np.matmul(ds.transpose(0, 2, 1), q[b], out=dk[b])
+        ds_block = np.empty((chunk, length, length), dtype=dtype)
+        for b, hs in blocks:
+            e = exps[b, hs]
+            ds = ds_block[:hs.stop - hs.start]
+            np.matmul(e.transpose(0, 2, 1), dctx[b, hs], out=dv[b, hs])  # dctx is now dctx / l
+            np.matmul(a[b, hs], v1[b, hs].transpose(0, 2, 1), out=ds)
+            ds *= e
+            np.matmul(ds, k[b, hs], out=dq[b, hs])
+            np.matmul(ds.transpose(0, 2, 1), q[b, hs], out=dk[b, hs])
         dq *= scale
         dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(bsz * length, 3 * d)  # [dq | dk | dv]
         dw = x_flat.T @ dqkv
@@ -346,7 +371,7 @@ def save_checkpoint(path: Path | str, params: ModelParams,
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(blob)
         for name in names:
             fh.write(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes())

@@ -213,6 +213,25 @@ class TestTrainEval:
         agg = json.loads((reports / "aggregate.json").read_text())
         assert [m["model"] for m in agg["models"]] == ["task_user-u01", "task_user-u02"]
 
+    def test_force_reeval_drops_earlier_reports(self, tmp_path):
+        # a 3-model evaluation, then a 2-model one forced into the same
+        # directory: only the second one's report files may remain
+        data, ckpt, reports = (tmp_path / n for n in ("d3", "ck", "rep"))
+        assert main(synth_args(data, users=3)) == 0
+        assert main(["train-experiment", "--kind", "task", "--out", str(ckpt),
+                     "--manifest", str(data / "manifest.json")] + TINY_FLAGS) == 0
+        evaluate = ["eval-experiment", "--checkpoints", str(ckpt),
+                    "--manifest", str(data / "manifest.json"), "--out", str(reports)]
+        assert main(evaluate) == 0
+        assert (reports / "task_user-u03.svg").exists()
+        assert main(evaluate + ["--models", "task_user-u01,task_user-u02", "--force"]) == 0
+        assert sorted(p.name for p in reports.iterdir()) == [
+            "aggregate.csv", "aggregate.json",
+            "task_user-u01.csv", "task_user-u01.json", "task_user-u01.svg",
+            "task_user-u02.csv", "task_user-u02.json", "task_user-u02.svg"]
+        agg = json.loads((reports / "aggregate.json").read_text())
+        assert [m["model"] for m in agg["models"]] == ["task_user-u01", "task_user-u02"]
+
     def test_insufficient_data_exit_3(self, dataset_dir, tmp_path):
         code = main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
                      "--kind", "task", "--out", str(tmp_path / "x"),

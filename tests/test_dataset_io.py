@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapticauth import (
     DatasetManifest,
@@ -16,6 +19,7 @@ from hapticauth import (
     synth_dataset,
     write_trace_csv,
 )
+from hapticauth.dataset import VARIANTS, atomic_write
 from hapticauth.errors import ConfigError
 
 from conftest import make_trace
@@ -84,6 +88,26 @@ class TestWriteTraceCsv:
                                    trial_index=trial)
             np.testing.assert_array_equal(back.timestamps, tr.timestamps)
             np.testing.assert_array_equal(back.forces, tr.forces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           stamps=st.lists(st.floats(0, allow_infinity=False, width=32), min_size=1,
+                           max_size=40, unique=True),
+           user=st.text("abcuz019_-", min_size=1, max_size=5),
+           task=st.text("abcdefg", min_size=1, max_size=3),
+           trial=st.integers(0, 10**6), variant=st.sampled_from(VARIANTS))
+    def test_roundtrip_is_bit_exact(self, data, stamps, user, task, trial, variant):
+        f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        forces = data.draw(st.lists(st.tuples(f32, f32, f32), min_size=len(stamps),
+                                    max_size=len(stamps)))
+        tr = ForceTrace(timestamps=np.float32(sorted(stamps)), forces=np.float32(forces),
+                        user_id=user, task_id=task, trial_index=trial, variant=variant)
+        back = parse_trace_csv(write_trace_csv(tr), user_id=user, task_id=task,
+                               trial_index=trial, variant=variant)
+        assert back.key == tr.key
+        # compare bit patterns: -0.0 and subnormals must survive too
+        np.testing.assert_array_equal(back.timestamps.view(np.uint32), tr.timestamps.view(np.uint32))
+        np.testing.assert_array_equal(back.forces.view(np.uint32), tr.forces.view(np.uint32))
 
     def test_empty_trace_unconstructible(self):
         with pytest.raises(EmptyTraceError):
@@ -234,3 +258,15 @@ class TestSynthDataset:
         means = [float(np.abs(np.concatenate(
             [tr.forces[:, 2] for tr in ds.subset(user_id=u)])).mean()) for u in ds.users]
         assert len(set(np.round(means, 3))) == len(means)
+
+
+class TestAtomicWrite:
+    def test_failure_mid_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"earlier")
+        with pytest.raises(OSError, match="disk full"):
+            with atomic_write(path) as fh:
+                fh.write(b"half of the new")
+                raise OSError("disk full")
+        assert path.read_bytes() == b"earlier"
+        assert os.listdir(tmp_path) == ["report.json"]

@@ -17,6 +17,7 @@ from hapticauth import (
 from hapticauth import autodiff as ad
 from hapticauth.autodiff import Tensor, grad_check
 from hapticauth.errors import ConfigError, DataError, ShapeError
+from hapticauth.model import SCORE_BLOCK
 
 from oracles import attention_per_head, cross_entropy_per_sample
 
@@ -123,15 +124,31 @@ class TestMhsa:
         oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
-    @pytest.mark.parametrize("bsz, length, d, h", [(1, 1, 8, 2), (3, 7, 12, 3), (2, 5, 8, 1)])
-    def test_gradient_matches_finite_differences(self, bsz, length, d, h):
+    def test_uneven_head_chunks_match_oracle(self):
+        # at L 160 a score block holds 10 of the 16 heads: chunks of 10 and 6
+        rng = np.random.default_rng(4)
+        d, h = 32, 16
+        assert SCORE_BLOCK // (160 * 160) == 10
+        x = Tensor(rng.normal(size=(2, 160, d)).astype(np.float32))
+        wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
+        out = mhsa(x, wq, wk, wv, wo, h).data
+        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
+
+    # at (2, 160, 32, 16) the checked sum is ~30, so central differences carry
+    # ~30 * 2^-52 / eps ~ 7e-9 of rounding noise: a gradient below ~1e-2
+    # cannot be resolved to 1e-6 relative and is not sampled
+    @pytest.mark.parametrize("bsz, length, d, h, min_magnitude", [
+        (1, 1, 8, 2, 0.0), (3, 7, 12, 3, 0.0), (2, 5, 8, 1, 0.0), (2, 160, 32, 16, 1e-2)],
+        ids=["1-1-8-2", "3-7-12-3", "2-5-8-1", "2-160-32-16"])
+    def test_gradient_matches_finite_differences(self, bsz, length, d, h, min_magnitude):
         rng = np.random.default_rng(bsz * 100 + length)
         x = Tensor(rng.normal(size=(bsz, length, d)), requires_grad=True, dtype=np.float64)
         ws = [Tensor(rng.normal(size=(d, d)) / math.sqrt(d), requires_grad=True, dtype=np.float64)
               for _ in range(4)]
         w_out = Tensor(rng.normal(size=(bsz, length, d)), dtype=np.float64)
         err = grad_check(lambda: ad.tsum(ad.mul(mhsa(x, *ws, h), w_out)), [x, *ws],
-                         eps=1e-6, num_samples=300, seed=0)
+                         eps=1e-6, num_samples=300, seed=0, min_magnitude=min_magnitude)
         assert err < 1e-6, f"max relative error {err}"
 
     def test_one_graph_node(self):
@@ -145,6 +162,18 @@ class TestMhsa:
 
 
 class TestForward:
+    @pytest.mark.parametrize("seq_len", [8, 160])
+    def test_detached_forward_bit_identical_to_recorded(self, seq_len):
+        # detached params take mhsa's scratch-block path, trainable ones the
+        # stored-exponentials path; at L 160 the heads split into two chunks
+        cfg = ModelConfig(d_model=32, num_heads=16, ffn_dim=16, num_classes=3, seq_len=seq_len)
+        params = build_model(cfg, seed=7)
+        batch = np.random.default_rng(7).normal(size=(3, seq_len, 13)).astype(np.float32)
+        recorded = forward(params, batch)
+        detached = forward(params.detached(), batch)
+        assert recorded._backward is not None and detached._backward is None
+        np.testing.assert_array_equal(detached.data, recorded.data)
+
     def test_paper_shapes_task(self):
         cfg = ModelConfig(num_classes=7, seq_len=64)
         params = build_model(cfg, seed=0)
@@ -264,6 +293,28 @@ class TestCheckpoint:
         save_checkpoint(p1, params)
         save_checkpoint(p2, params)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=14))
+        earlier = path.read_bytes()
+        params = build_model(TINY, seed=15)
+        to_bytes = np.ascontiguousarray
+        calls = []
+
+        def fail_on_third_tensor(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return to_bytes(*args, **kwargs)
+
+        # the header and two tensors are written when the third one fails
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_third_tensor)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, params)
+        monkeypatch.undo()
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_header_shape_validation(self, tmp_path):
         import json
