@@ -25,7 +25,7 @@ from .dataset import (
     DatasetManifest,
     SynthConfig,
     TraceDataset,
-    atomic_write,
+    atomic_write_text,
     load_dataset,
     save_dataset,
     synth_dataset,
@@ -175,8 +175,8 @@ def _save_trained(out: Path, tm: TrainedModel) -> None:
         "config": tm.params.config.to_dict(),
         "epochs": tm.history.to_records(),
     }
-    with atomic_write(out / f"{job.model_id}.history.json") as fh:
-        fh.write((json.dumps(history_doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    atomic_write_text(out / f"{job.model_id}.history.json",
+                      json.dumps(history_doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_train_experiment(args) -> int:
@@ -281,7 +281,7 @@ def cmd_sweep(args) -> int:
         lines.append(f"{pt.size},{pt.mean_accuracy}"
                      + "".join(f",{pt.per_group[g]}" for g in group_names))
         print(f"size {pt.size:4d}: mean accuracy {pt.mean_accuracy:.4f}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {len(points)}-row curve to {out}")
     return 0
 

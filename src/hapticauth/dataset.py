@@ -155,6 +155,13 @@ def atomic_write(path: Path | str) -> Iterator[BinaryIO]:
         raise
 
 
+def atomic_write_text(path: Path | str, text: str) -> Path:
+    """Write text as UTF-8 through atomic_write; returns the path."""
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
+    return Path(path)
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str
@@ -223,7 +230,7 @@ class DatasetManifest:
         return cls(entries=entries, sample_rate=float(doc.get("sample_rate", DEFAULT_SAMPLE_RATE)))
 
     def save(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        atomic_write_text(path, self.to_json())
 
     @classmethod
     def load(cls, path: Path | str) -> "DatasetManifest":
@@ -306,17 +313,18 @@ def load_dataset(manifest: DatasetManifest, base_dir: Path | str) -> TraceDatase
 
 def save_dataset(dataset: TraceDataset, out_dir: Path | str,
                  sample_rate: float = DEFAULT_SAMPLE_RATE) -> DatasetManifest:
-    """Write one CSV per trace plus a manifest.json into out_dir."""
+    """Write one CSV per trace, then manifest.json, into out_dir, each file atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for tr in dataset:
         name = f"{tr.user_id}_{tr.task_id}_{tr.trial_index:04d}_{tr.variant}.csv"
-        (out / name).write_bytes(write_trace_csv(tr))
+        with atomic_write(out / name) as fh:
+            fh.write(write_trace_csv(tr))
         entries.append(ManifestEntry(path=name, user=tr.user_id, task=tr.task_id,
                                      trial=tr.trial_index, variant=tr.variant))
     manifest = DatasetManifest(entries=entries, sample_rate=sample_rate)
-    manifest.save(out / "manifest.json")
+    manifest.save(out / "manifest.json")  # last, so it never lists a partial file
     return manifest
 
 

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import atomic_write
+from .dataset import atomic_write_text
 from .errors import DataError, ShapeError
 from .features import FeatureSequence
 from .model import ModelParams, forward
@@ -231,22 +231,16 @@ def matrix_svg(report: EvalReport, cell: int = 48) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_text(path: Path, text: str) -> Path:
-    with atomic_write(path) as fh:
-        fh.write(text.encode("utf-8"))
-    return path
-
-
 def write_report_files(report: EvalReport, out_dir: Path | str, svg: bool = True) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [
-        _write_text(out / f"{report.model_id}.json",
-                    json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
-        _write_text(out / f"{report.model_id}.csv", matrix_csv(report)),
+        atomic_write_text(out / f"{report.model_id}.json",
+                          json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
+        atomic_write_text(out / f"{report.model_id}.csv", matrix_csv(report)),
     ]
     if svg:
-        written.append(_write_text(out / f"{report.model_id}.svg", matrix_svg(report)))
+        written.append(atomic_write_text(out / f"{report.model_id}.svg", matrix_svg(report)))
     return written
 
 
@@ -275,13 +269,13 @@ def write_experiment_files(exp: ExperimentReport, out_dir: Path | str,
     written = []
     for report in exp.reports:
         written.extend(write_report_files(report, out, svg=svg))
-    written.append(_write_text(out / "aggregate.json",
-                               json.dumps(exp.to_dict(), indent=2, sort_keys=True) + "\n"))
+    written.append(atomic_write_text(out / "aggregate.json",
+                                     json.dumps(exp.to_dict(), indent=2, sort_keys=True) + "\n"))
     metric = "mean_precision" if exp.kind == "user-id" else "accuracy"
     lines = [f"user,{metric}"]
     for user in sorted(exp.per_user):
         lines.append(f"{user},{exp.per_user[user]}")
-    written.append(_write_text(out / "aggregate.csv", "\n".join(lines) + "\n"))
+    written.append(atomic_write_text(out / "aggregate.csv", "\n".join(lines) + "\n"))
     for stale in earlier - set(written):
         stale.unlink(missing_ok=True)
     return written

@@ -178,11 +178,11 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     carries a column of ones, so e @ [v | 1] with e = exp(s - rowmax) gives
     the context numerator and the row sums l in one GEMM, and the context is
     the numerator times 1/l (the output-side normalisation of FlashAttention,
-    Dao et al. 2022).  Scores are handled one (sample, chunk of heads) block
-    of at most SCORE_BLOCK elements at a time.  When an input needs a
-    gradient, the (B, h, L, L) exponentials e and 1/l are kept for backward;
-    otherwise one block-sized scratch array is reused and no score tensor
-    outlives its block."""
+    Dao et al. 2022).  The B·h head matrices are handled in blocks of at most
+    SCORE_BLOCK score elements, each computed into one reused scratch block.
+    Training and inference run the same forward; it keeps only the row max
+    and 1/l, and backward recomputes each block's e from q, k and the row max
+    (the FlashAttention backward), so no (B, h, L, L) tensor is allocated."""
     if x.data.ndim != 3:
         raise ShapeError(f"mhsa expects (B, L, d) input, got {x.shape}")
     bsz, length, d = x.shape
@@ -194,40 +194,39 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     head_dim = d // num_heads
     dtype = x.data.dtype
     scale = dtype.type(1.0 / math.sqrt(head_dim))
-    chunk = max(1, min(num_heads, SCORE_BLOCK // (length * length)))
-    blocks = [(b, slice(h0, min(h0 + chunk, num_heads))) for b in range(bsz)
-              for h0 in range(0, num_heads, chunk)]
+    n = bsz * num_heads
+    per_block = max(1, min(n, SCORE_BLOCK // (length * length)))
+    blocks = [slice(i, i + per_block) for i in range(0, n, per_block)]
 
-    def heads(a: np.ndarray) -> np.ndarray:  # (B·L, d) -> (B, h, L, dh) view
-        return a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3)
-
-    def merge(a: np.ndarray) -> np.ndarray:  # (B, h, L, dh) -> (B·L, d)
-        return a.transpose(0, 2, 1, 3).reshape(bsz * length, d)
-
-    # per-head blocks are copied contiguous: BLAS runs the L x L products on
+    # head arrays are copied contiguous: BLAS runs the L x L products on
     # strided (row stride d) head views several times slower
+    def heads(a: np.ndarray) -> np.ndarray:  # (B·L, d) -> (B·h, L, dh)
+        a = a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3)
+        return np.ascontiguousarray(a).reshape(n, length, head_dim)
+
     x_flat = x.data.reshape(bsz * length, d)
-    q, k = (np.ascontiguousarray(heads(x_flat @ w.data)) for w in (wq, wk))
+    q, k = heads(x_flat @ wq.data), heads(x_flat @ wk.data)
     q *= scale  # scaling q, not the (L, L) scores, saves a pass over them
-    v1 = np.empty((bsz, num_heads, length, head_dim + 1), dtype=dtype)  # [v | 1]
+    v1 = np.empty((n, length, head_dim + 1), dtype=dtype)  # [v | 1]
     v1[..., :head_dim] = heads(x_flat @ wv.data)
     v1[..., head_dim] = 1
-    needs_grad = any(t.requires_grad for t in (x, wq, wk, wv, wo))
-    if needs_grad:
-        exps = np.empty((bsz, num_heads, length, length), dtype=dtype)
-    else:
-        scratch = np.empty((chunk, length, length), dtype=dtype)
+    rowmax = np.empty((n, length, 1), dtype=dtype)
+    scratch = np.empty((per_block, length, length), dtype=dtype)
+
+    def exp_scores(s: slice, find_max: bool) -> np.ndarray:  # e = exp(q kᵀ - rowmax) in scratch
+        e = np.matmul(q[s], k[s].transpose(0, 2, 1), out=scratch[:len(q[s])])
+        if find_max:
+            np.max(e, axis=-1, keepdims=True, out=rowmax[s])
+        e -= rowmax[s]
+        return np.exp(e, out=e)
+
     num = np.empty_like(v1)  # [e @ v | l]
-    for b, hs in blocks:
-        e = exps[b, hs] if needs_grad else scratch[:hs.stop - hs.start]
-        np.matmul(q[b, hs], k[b, hs].transpose(0, 2, 1), out=e)
-        e -= e.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-        np.matmul(e, v1[b, hs], out=num[b, hs])
+    for s in blocks:
+        np.matmul(exp_scores(s, find_max=True), v1[s], out=num[s])
     inv_l = 1 / num[..., head_dim:]
     ctx = num[..., :head_dim]
     ctx *= inv_l
-    ctx_flat = merge(ctx)
+    ctx_flat = ctx.reshape(bsz, num_heads, length, head_dim).transpose(0, 2, 1, 3).reshape(bsz * length, d)
     out_data = (ctx_flat @ wo.data).reshape(bsz, length, d)
 
     def backward_fn(g):
@@ -238,19 +237,19 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         a = np.empty_like(v1)
         dctx = a[..., :head_dim]
         dctx[...] = heads(g @ wo.data.T)
-        a[..., head_dim] = -np.einsum("bhld,bhld->bhl", dctx, ctx)
+        a[..., head_dim] = -np.einsum("nld,nld->nl", dctx, ctx)
         a *= inv_l
-        dqkv = np.empty((3,) + q.shape, dtype=dtype)
-        dq, dk, dv = dqkv
-        ds_block = np.empty((chunk, length, length), dtype=dtype)
-        for b, hs in blocks:
-            e = exps[b, hs]
-            ds = ds_block[:hs.stop - hs.start]
-            np.matmul(e.transpose(0, 2, 1), dctx[b, hs], out=dv[b, hs])  # dctx is now dctx / l
-            np.matmul(a[b, hs], v1[b, hs].transpose(0, 2, 1), out=ds)
+        dqkv = np.empty((3, bsz, num_heads, length, head_dim), dtype=dtype)
+        dq, dk, dv = dqkv.reshape(3, n, length, head_dim)
+        ds_block = np.empty_like(scratch)
+        for s in blocks:
+            e = exp_scores(s, find_max=False)
+            ds = ds_block[:len(e)]
+            np.matmul(e.transpose(0, 2, 1), dctx[s], out=dv[s])  # dctx is now dctx / l
+            np.matmul(a[s], v1[s].transpose(0, 2, 1), out=ds)
             ds *= e
-            np.matmul(ds, k[b, hs], out=dq[b, hs])
-            np.matmul(ds.transpose(0, 2, 1), q[b, hs], out=dk[b, hs])
+            np.matmul(ds, k[s], out=dq[s])
+            np.matmul(ds.transpose(0, 2, 1), q[s], out=dk[s])
         dq *= scale
         dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(bsz * length, 3 * d)  # [dq | dk | dv]
         dw = x_flat.T @ dqkv
@@ -269,7 +268,7 @@ def _dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     return ad.mul(x, Tensor(keep, dtype=x.data.dtype))
 
 
-def forward(params: ModelParams, batch: np.ndarray, *, positional: bool = True,
+def forward(params: ModelParams, batch: np.ndarray, *,
             dropout_rng: np.random.Generator | None = None,
             ffn_preacts: list[np.ndarray] | None = None) -> Tensor:
     """Run the encoder classifier; returns (B, num_classes) logits.
@@ -283,14 +282,13 @@ def forward(params: ModelParams, batch: np.ndarray, *, positional: bool = True,
         raise ShapeError(
             f"batch shape {x_in.shape} does not match (B, L, {cfg.input_channels})"
         )
-    if positional and x_in.shape[1] != cfg.seq_len:
+    if x_in.shape[1] != cfg.seq_len:
         raise ShapeError(f"batch length {x_in.shape[1]} != configured seq_len {cfg.seq_len}")
     dtype = params["in_proj.w"].data.dtype
     x = Tensor(x_in, dtype=dtype)
 
     x = ad.add(ad.matmul(x, params["in_proj.w"]), params["in_proj.b"])
-    if positional:
-        x = ad.add(x, params["pos.table"])
+    x = ad.add(x, params["pos.table"])
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
         attn_out = mhsa(x, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"],

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,23 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "2"
         assert lines[2].split(",")[0] == "3"
+
+    def test_failed_write_keeps_earlier_curve(self, dataset_dir, tmp_path, monkeypatch):
+        out = tmp_path / "curve.csv"
+        out.write_bytes(b"earlier")
+        move = os.replace
+
+        def fail_on_curve(src, dst):
+            if Path(dst) == out:
+                raise OSError("disk full")
+            move(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_curve)
+        with pytest.raises(OSError, match="disk full"):
+            main(["sweep", "--manifest", str(dataset_dir / "manifest.json"), "--out", str(out),
+                  "--force", "--sizes", "2", "--users", "u01"] + TINY_FLAGS)
+        assert out.read_bytes() == b"earlier"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "data"]
 
     def test_bad_sizes_flag(self, dataset_dir, tmp_path):
         assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +271,29 @@ class TestAtomicWrite:
                 raise OSError("disk full")
         assert path.read_bytes() == b"earlier"
         assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_failed_save_dataset_keeps_earlier_manifest(self, tmp_path, monkeypatch):
+        def corpus(seed):
+            return synth_dataset(SynthConfig(num_users=2, trials_per_task=1, seed=seed,
+                                             duration_range=(0.02, 0.03)))
+
+        save_dataset(corpus(1), tmp_path)
+        earlier = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        move, moved = os.replace, []
+
+        def fail_on_third(src, dst):
+            moved.append(Path(dst).name)
+            if len(moved) == 3:
+                raise OSError("disk full")
+            move(src, dst)
+
+        # the third CSV is written in full, then fails as it is moved into
+        # place; the new manifest would differ from the earlier one in its rate
+        monkeypatch.setattr(os, "replace", fail_on_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(corpus(2), tmp_path, sample_rate=500.0)
+        monkeypatch.undo()
+        assert moved[2].endswith(".csv")
+        assert (tmp_path / "manifest.json").read_bytes() == earlier["manifest.json"]
+        assert (tmp_path / moved[2]).read_bytes() == earlier[moved[2]]
+        assert sorted(os.listdir(tmp_path)) == sorted(earlier)
