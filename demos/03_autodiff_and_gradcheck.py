@@ -14,14 +14,14 @@ from hapticauth.model import draw_kink_free_batch
 
 # --- a tiny graph by hand ---------------------------------------------------
 x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
-y = ad.tsum(ad.mul(x, x))          # sum of squares
-backward(y)
-print(f"d(sum x^2)/dx = {x.grad}   (expected 2x = {2 * x.data})")
+w = Tensor(np.array([0.5, 4.0, -1.0], dtype=np.float32))
+backward(ad.tsum(ad.mul(x, w)))    # weighted sum
+print(f"d(sum w*x)/dx = {x.grad}   (expected w = {w.data})")
 
 x.zero_grad()
-z = ad.add(x, x)                   # fan-out: gradient accumulates
+z = ad.mul(x, x)                   # fan-out: both factors are x, so their gradients add
 backward(ad.tsum(z))
-print(f"d(sum(x+x))/dx = {x.grad}   (expected 2 everywhere)")
+print(f"d(sum x*x)/dx = {x.grad}   (expected 2x = {2 * x.data})")
 
 # --- attention is one fused op with a hand-written backward ------------------
 rng = np.random.default_rng(0)

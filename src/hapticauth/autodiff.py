@@ -5,20 +5,21 @@ verification).  Each op attaches a backward closure to its output when any
 input participates in the gradient graph; ``backward`` walks the recorded
 graph once in reverse topological order and accumulates gradients
 additively across fan-out.
+
+The model's layers and loss are fused ops with hand-written backwards in
+``model.py``; the generic ops here are only those something calls: ``mul``
+(dropout), ``mean`` (pooling over time) and ``tsum`` (scalars for checks).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
 
-__all__ = [
-    "Tensor", "backward", "grad_check",
-    "matmul", "add", "mul", "relu", "layer_norm", "mean", "tsum",
-]
+__all__ = ["Tensor", "backward", "grad_check", "mul", "mean", "tsum"]
 
 
 class Tensor:
@@ -37,10 +38,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -55,17 +52,11 @@ class Tensor:
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result; records the graph only if some input needs grad."""
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
+    out = Tensor(data, dtype=data.dtype)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
     return out
 
 
@@ -78,114 +69,35 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape` to undo numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # --- ops -------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >= 2-d operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _make(out_data, (a, b), backward_fn)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}") from None
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(out_data, (a, b), backward_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}") from None
+    if a.shape != b.shape:
+        raise ShapeError(f"mul needs equal shapes, got {a.shape} * {b.shape}")
+    out_data = a.data * b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return _make(out_data, (a, b), backward_fn)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # derivative at exactly 0 is defined as 0
-    out_data = np.where(mask, a.data, a.data.dtype.type(0))
-
-    def backward_fn(g):
-        _accumulate(a, g * mask)
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    d = x.data.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm gamma/beta must be ({d},), got {gamma.shape} and {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    out_data = (gamma.data * xhat + beta.data).astype(x.data.dtype)
-
-    def backward_fn(g):
-        _accumulate(beta, g.reshape(-1, d).sum(axis=0))
-        _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-        dxhat = g * gamma.data
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        _accumulate(x, dx.astype(x.data.dtype))
-
-    return _make(out_data, (x, gamma, beta), backward_fn)
-
-
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
+def mean(a: Tensor, axis: int) -> Tensor:
     out_data = a.data.mean(axis=axis)
 
     def backward_fn(g):
-        if axis is None:
-            _accumulate(a, np.full_like(a.data, 1.0 / a.data.size) * g)
-        else:
-            n = a.data.shape[axis]
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape))
+        n = a.data.shape[axis]
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape))
 
     return _make(out_data, (a,), backward_fn)
 
 
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    out_data = a.data.sum(axis=axis)
+def tsum(a: Tensor) -> Tensor:
+    out_data = a.data.sum()
 
     def backward_fn(g):
-        if axis is None:
-            _accumulate(a, np.full_like(a.data, 1.0) * g)
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
+        _accumulate(a, np.full_like(a.data, 1.0) * g)
 
     return _make(out_data, (a,), backward_fn)
 
@@ -220,11 +132,6 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
 # --- finite-difference verification ------------------------------------------
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor] | dict[str, Tensor],
@@ -250,7 +157,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor] | dict[str, Ten
     if not tensors:
         raise ValueError("grad_check needs at least one requires_grad tensor")
 
-    zero_grads(tensors)
+    for t in tensors:
+        t.zero_grad()
     loss = f()
     backward(loss)
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]

@@ -320,7 +320,7 @@ def cmd_gradcheck(args) -> int:
         if fault:
             # value tracks the weights but the graph does not: verification must fail
             drift = 0.001 * sum(float((t.data ** 2).sum()) for t in params.trainable().values())
-            loss = ad.add(loss, Tensor(np.float64(drift), dtype=np.float64))
+            loss = ad.mul(loss, Tensor(np.float64(1 + drift), dtype=np.float64))
         return loss
 
     err = grad_check(f, params.trainable(), eps=args.eps, num_samples=args.samples,

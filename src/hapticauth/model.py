@@ -1,7 +1,10 @@
 """Two-layer transformer encoder classifier over 13-channel feature sequences.
 
 Post-norm encoder layers (LayerNorm(x + Sublayer(x))), fixed sinusoidal
-positional encodings, mean-pooling over time, and a linear head.  Parameters
+positional encodings, mean-pooling over time, and a linear head.  Each layer
+is a fused op with a hand-written backward and records one graph node:
+linear (in-projection and head), mhsa, ffn and add_layer_norm, so a step
+without dropout records 4 + 4 * num_layers nodes with the loss.  Parameters
 live in a named-tensor map so the optimizer, checkpoints, and gradient
 checks all see one flat, deterministically ordered view.
 """
@@ -26,6 +29,7 @@ PAPER_SEQ_LENS = (64, 512)
 # elements in one (heads, L, L) attention score block: 1 MB of float32, so a
 # block stays in a 2 MB per-core L2 cache
 SCORE_BLOCK = 2 ** 18
+LAYER_NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -261,6 +265,83 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     return _make(out_data, (x, wq, wk, wv, wo), backward_fn)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of an (..., n) x, with an (n, m) w.
+
+    One graph node.  Its backward reads x and w but never the output, so a
+    caller may add a constant to the output in place."""
+    n, m = w.shape
+    if x.shape[-1] != n or b.shape != (m,):
+        raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, m)
+        ad._accumulate(w, x.data.reshape(-1, n).T @ g2)
+        ad._accumulate(b, g2.sum(axis=0))
+        if x.requires_grad:
+            ad._accumulate(x, g @ w.data.T)
+
+    return _make(out_data, (x, w, b), backward_fn)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        preacts: list[np.ndarray] | None = None) -> Tensor:
+    """Position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2.
+
+    One graph node that keeps only the hidden activations for backward.  The
+    relu is np.maximum, which passes a NaN on; its derivative at exactly 0 is
+    0.  A list passed as preacts receives the pre-activation array."""
+    d, f = w1.shape
+    pre = x.data @ w1.data
+    pre += b1.data
+    if preacts is not None:
+        preacts.append(pre)
+    hidden = np.maximum(pre, 0)
+    out_data = hidden @ w2.data
+    out_data += b2.data
+
+    def backward_fn(g):
+        g2, h2 = g.reshape(-1, d), hidden.reshape(-1, f)
+        ad._accumulate(w2, h2.T @ g2)
+        ad._accumulate(b2, g2.sum(axis=0))
+        dpre = g2 @ w2.data.T
+        dpre *= h2 > 0
+        ad._accumulate(w1, x.data.reshape(-1, d).T @ dpre)
+        ad._accumulate(b1, dpre.sum(axis=0))
+        ad._accumulate(x, (dpre @ w1.data.T).reshape(x.shape))
+
+    return _make(out_data, (x, w1, b1, w2, b2), backward_fn)
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Residual sum and layer norm over the last axis: LayerNorm(x + y).
+
+    One graph node that keeps the standardised sum and the inverse standard
+    deviations for backward; x and y receive the same gradient."""
+    d = x.shape[-1]
+    xhat = x.data + y.data  # centred, then scaled, in place
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv_std
+    out_data = gamma.data * xhat
+    out_data += beta.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, d)
+        ad._accumulate(beta, g2.sum(axis=0))
+        ad._accumulate(gamma, (g2 * xhat.reshape(-1, d)).sum(axis=0))
+        dxhat = g * gamma.data
+        dsum = dxhat - dxhat.mean(axis=-1, keepdims=True)
+        dsum -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dsum *= inv_std
+        ad._accumulate(x, dsum)
+        ad._accumulate(y, dsum)
+
+    return _make(out_data, (x, y, gamma, beta), backward_fn)
+
+
 def _dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     if p <= 0.0 or rng is None:
         return x
@@ -285,25 +366,22 @@ def forward(params: ModelParams, batch: np.ndarray, *,
     if x_in.shape[1] != cfg.seq_len:
         raise ShapeError(f"batch length {x_in.shape[1]} != configured seq_len {cfg.seq_len}")
     dtype = params["in_proj.w"].data.dtype
-    x = Tensor(x_in, dtype=dtype)
 
-    x = ad.add(ad.matmul(x, params["in_proj.w"]), params["in_proj.b"])
-    x = ad.add(x, params["pos.table"])
+    x = linear(Tensor(x_in, dtype=dtype), params["in_proj.w"], params["in_proj.b"])
+    # the table is a constant and linear's backward never reads its output,
+    # so the positions go in place, with no graph node
+    x.data += params["pos.table"].data
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
         attn_out = mhsa(x, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"],
                         params[f"{p}.attn.wv"], params[f"{p}.attn.wo"], cfg.num_heads)
         attn_out = _dropout(attn_out, cfg.dropout, dropout_rng)
-        x = ad.layer_norm(ad.add(x, attn_out), params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
-        pre = ad.add(ad.matmul(x, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"])
-        if ffn_preacts is not None:
-            ffn_preacts.append(pre.data)
-        hidden = ad.relu(pre)
-        ffn_out = ad.add(ad.matmul(hidden, params[f"{p}.ffn.w2"]), params[f"{p}.ffn.b2"])
+        x = add_layer_norm(x, attn_out, params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
+        ffn_out = ffn(x, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"],
+                      params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"], ffn_preacts)
         ffn_out = _dropout(ffn_out, cfg.dropout, dropout_rng)
-        x = ad.layer_norm(ad.add(x, ffn_out), params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
-    pooled = ad.mean(x, axis=1)
-    return ad.add(ad.matmul(pooled, params["head.w"]), params["head.b"])
+        x = add_layer_norm(x, ffn_out, params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
+    return linear(ad.mean(x, axis=1), params["head.w"], params["head.b"])
 
 
 def draw_kink_free_batch(params: ModelParams, batch_size: int, seed: int = 0,

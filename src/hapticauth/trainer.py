@@ -184,7 +184,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
         history.train_loss.append(loss_sum / n)
         history.train_acc.append(correct / n)
         history.lr.append(lr)
-    # relu maps NaN to 0, so a NaN written by the last update never reached a loss
+    # the last update is never followed by a loss, so check the weights it wrote
     bad = [k for k, t in params.trainable().items() if not np.isfinite(t.data).all()]
     if bad:
         raise DataError(f"non-finite parameters {bad} after the last update")

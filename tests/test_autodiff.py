@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hapticauth import autodiff as ad
 from hapticauth.autodiff import Tensor, backward, grad_check
 from hapticauth.errors import ShapeError
+from hapticauth.model import add_layer_norm, ffn, linear
 
 from oracles import matmul_loops
 
@@ -12,32 +15,53 @@ def t64(arr, grad=True):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad, dtype=np.float64)
 
 
+def t64s(rng, *shapes):
+    return [t64(rng.normal(size=shape)) for shape in shapes]
+
+
+def relu_probe():
+    """ffn inputs whose pre-activation is exactly [-1, 0, 2]."""
+    return (t64(np.zeros((1, 1, 3))), t64(np.zeros((3, 3))), t64(np.array([-1.0, 0.0, 2.0])),
+            t64(np.eye(3)), t64(np.zeros(3)))
+
+
 class TestForwardOps:
     def test_matmul_matches_loop_oracle(self):
+        # linear is the model's matmul plus a broadcast bias
         rng = np.random.default_rng(1)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
-        out = ad.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
-        np.testing.assert_allclose(out, matmul_loops(a, b), rtol=1e-12)
+        bias = rng.normal(size=2)
+        out = linear(t64(a, grad=False), t64(b, grad=False), t64(bias, grad=False)).data
+        np.testing.assert_allclose(out, matmul_loops(a, b) + bias, rtol=1e-12)
 
     def test_matmul_shape_error_names_shapes(self):
         a = Tensor(np.zeros((2, 3)))
         b = Tensor(np.zeros((4, 2)))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            ad.matmul(a, b)
+            linear(a, b, Tensor(np.zeros(2)))
 
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(3, 5, size=(4, 6, 16)).astype(np.float32))
+        y = Tensor(rng.normal(-1, 2, size=(4, 6, 16)).astype(np.float32))
         gamma = Tensor(np.ones(16, dtype=np.float32))
         beta = Tensor(np.zeros(16, dtype=np.float32))
-        out = ad.layer_norm(x, gamma, beta).data
+        out = add_layer_norm(x, y, gamma, beta).data
+        s = x.data.astype(np.float64) + y.data
+        expected = (s - s.mean(axis=-1, keepdims=True)) / s.std(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out, expected, atol=1e-5)
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
     def test_relu_zero_maps_to_zero(self):
-        x = Tensor(np.array([-1.0, 0.0, 2.0], dtype=np.float32))
-        np.testing.assert_array_equal(ad.relu(x).data, [0.0, 0.0, 2.0])
+        # ffn's pre-activation here is exactly b1, and w2 passes it through
+        out = ffn(*relu_probe()).data
+        np.testing.assert_array_equal(out, [[[0.0, 0.0, 2.0]]])
+
+    def test_mul_rejects_broadcasting(self):
+        with pytest.raises(ShapeError, match=r"\(4, 6\).*\(1, 6\)"):
+            ad.mul(Tensor(np.ones((4, 6))), Tensor(np.ones((1, 6))))
 
 
 class TestBackward:
@@ -48,23 +72,24 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, np.full((2, 3), 3.5))
 
     def test_relu_subgradient_contract(self):
-        x = t64(np.array([-2.0, 0.0, 5.0]))
-        backward(ad.tsum(ad.relu(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+        # ffn's relu has derivative 0 at a pre-activation of exactly 0
+        x, w1, b1, w2, b2 = relu_probe()
+        backward(ad.tsum(ffn(x, w1, b1, w2, b2)))
+        np.testing.assert_array_equal(b1.grad, [0.0, 0.0, 1.0])
 
     def test_fanout_accumulation(self):
-        x = t64(np.ones(4))
-        y = ad.add(x, x)
+        x = t64(np.array([1.0, 2.0, 3.0, 4.0]))
+        y = ad.mul(x, x)
         backward(ad.tsum(y))
-        np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0, 8.0])
 
     def test_shared_node_visited_once(self):
         # y feeds two consumers; its backward must fire once with the summed grad
-        x = t64(np.array([1.0, 2.0, 3.0]))
-        y = ad.relu(x)
-        z = ad.add(y, y)
+        x = t64(np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]))
+        y = ad.mean(x, axis=0)
+        z = ad.mul(y, y)
         backward(ad.tsum(z))
-        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]])
 
     def test_grads_accumulate_across_backward_calls(self):
         x = t64(np.ones(3))
@@ -79,7 +104,7 @@ class TestBackward:
 
     def test_no_graph_recorded_without_requires_grad(self):
         x = Tensor(np.ones((2, 2)), requires_grad=False)
-        out = ad.relu(ad.mul(x, Tensor(np.full((2, 2), 2.0))))
+        out = ad.tsum(ad.mean(ad.mul(x, Tensor(np.full((2, 2), 2.0))), axis=0))
         assert out._parents == () and out._backward is None
 
 
@@ -91,49 +116,39 @@ class TestPerOpGradients:
         assert err < tol, f"max relative error {err}"
 
     def test_matmul_batched(self):
+        # linear on a 3-D input: one 2-D weight-gradient GEMM over B·L rows
         rng = np.random.default_rng(3)
-        a = t64(rng.normal(size=(2, 3, 4)))
-        b = t64(rng.normal(size=(4, 5)))
-        w = np.asarray(rng.normal(size=(2, 3, 5)))
-        self.check(lambda: ad.tsum(ad.mul(ad.matmul(a, b), Tensor(w, dtype=np.float64))), [a, b])
+        x, w, b = t64s(rng, (2, 3, 4), (4, 5), (5,))
+        w_out = Tensor(rng.normal(size=(2, 3, 5)), dtype=np.float64)
+        self.check(lambda: ad.tsum(ad.mul(linear(x, w, b), w_out)), [x, w, b])
 
-    def test_add_broadcast(self):
-        rng = np.random.default_rng(4)
-        a = t64(rng.normal(size=(3, 4, 5)))
-        b = t64(rng.normal(size=(5,)))
-        w = np.asarray(rng.normal(size=(3, 4, 5)))
-        self.check(lambda: ad.tsum(ad.mul(ad.add(a, b), Tensor(w, dtype=np.float64))), [a, b])
-
-    def test_mul_broadcast(self):
+    def test_mul(self):
         rng = np.random.default_rng(5)
-        a = t64(rng.normal(size=(4, 6)))
-        b = t64(rng.normal(size=(1, 6)))
+        a, b = t64s(rng, (4, 6), (4, 6))
         self.check(lambda: ad.tsum(ad.mul(a, b)), [a, b])
 
     def test_relu_away_from_kink(self):
-        rng = np.random.default_rng(7)
-        vals = rng.normal(size=(5, 5))
-        vals[np.abs(vals) < 0.05] += 0.1  # keep clear of the kink for finite differences
-        a = t64(vals)
-        w = np.asarray(rng.normal(size=(5, 5)))
-        self.check(lambda: ad.tsum(ad.mul(ad.relu(a), Tensor(w, dtype=np.float64))), [a])
+        # ffn with every pre-activation clear of the relu kink
+        for seed in itertools.count(7):
+            rng = np.random.default_rng(seed)
+            x, w1, b1, w2, b2 = t64s(rng, (2, 3, 4), (4, 6), (6,), (6, 4), (4,))
+            if np.abs(x.data @ w1.data + b1.data).min() > 0.05:
+                break
+        w_out = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+        self.check(lambda: ad.tsum(ad.mul(ffn(x, w1, b1, w2, b2), w_out)), [x, w1, b1, w2, b2])
 
     def test_layer_norm(self):
         rng = np.random.default_rng(9)
-        x = t64(rng.normal(size=(2, 3, 8)))
-        gamma = t64(rng.normal(size=(8,)))
-        beta = t64(rng.normal(size=(8,)))
-        w = np.asarray(rng.normal(size=(2, 3, 8)))
-        self.check(lambda: ad.tsum(ad.mul(ad.layer_norm(x, gamma, beta), Tensor(w, dtype=np.float64))),
-                   [x, gamma, beta], tol=1e-6)
+        x, y, gamma, beta = t64s(rng, (2, 3, 8), (2, 3, 8), (8,), (8,))
+        w_out = Tensor(rng.normal(size=(2, 3, 8)), dtype=np.float64)
+        self.check(lambda: ad.tsum(ad.mul(add_layer_norm(x, y, gamma, beta), w_out)),
+                   [x, y, gamma, beta], tol=1e-6)
 
-    def test_mean_axis_and_full(self):
+    def test_mean_axis(self):
         rng = np.random.default_rng(10)
-        a = t64(rng.normal(size=(3, 4, 5)))
-        w = np.asarray(rng.normal(size=(3, 5)))
-        self.check(lambda: ad.tsum(ad.mul(ad.mean(a, axis=1), Tensor(w, dtype=np.float64))), [a])
-        b = t64(rng.normal(size=(6,)))
-        self.check(lambda: ad.mean(b), [b])
+        (a,) = t64s(rng, (3, 4, 5))
+        w = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
+        self.check(lambda: ad.tsum(ad.mul(ad.mean(a, axis=1), w)), [a])
 
 class TestGradCheck:
     def test_quadratic_below_1e9(self):
@@ -169,8 +184,8 @@ class TestGradCheck:
 
         def broken():
             loss = ad.tsum(ad.mul(x, x))
-            # numeric value depends on x but the graph does not see this term
-            return ad.add(loss, Tensor(0.5 * float((x.data ** 3).sum()), dtype=np.float64))
+            # numeric value depends on x but the graph does not see this factor
+            return ad.mul(loss, Tensor(1 + 0.5 * float((x.data ** 3).sum()), dtype=np.float64))
 
         err = grad_check(broken, [x], eps=1e-5, num_samples=10)
         assert err > 1e-2

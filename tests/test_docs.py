@@ -1,7 +1,9 @@
-"""The demos and the README's Library snippet import only names that exist.
+"""The demos and the README's Library snippet use only names that exist.
 
-No test runs the demos, so a removed or renamed export would otherwise
-break them silently.  Each source is parsed, not executed.
+That covers the names they import from hapticauth and the attributes they
+read off an imported hapticauth module.  Tier-1 runs no demo, so a removed
+or renamed export would otherwise break them silently.  Each source is
+parsed, not executed.
 """
 
 import ast
@@ -37,18 +39,61 @@ def _imported_names(source):
                         if alias.name.split(".")[0] == "hapticauth")
 
 
-def _exists(module_name, name):
+def _is_module(name):
     try:
-        module = importlib.import_module(module_name)
-    except ImportError:
-        return False
-    if name is None or hasattr(module, name):
-        return True
-    try:  # `from hapticauth import autodiff` names a submodule
-        importlib.import_module(f"{module_name}.{name}")
+        importlib.import_module(name)
     except ImportError:
         return False
     return True
+
+
+def _exists(module_name, name):
+    if not _is_module(module_name):
+        return False
+    if name is None or hasattr(importlib.import_module(module_name), name):
+        return True
+    # `from hapticauth import autodiff` names a submodule
+    return _is_module(f"{module_name}.{name}")
+
+
+def _module_aliases(source):
+    """Local name -> hapticauth module, for every import that binds a module."""
+    aliases = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            if node.module.split(".")[0] == "hapticauth":
+                for alias in node.names:
+                    if _is_module(f"{node.module}.{alias.name}"):
+                        aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hapticauth":  # `import a.b` binds a
+                    local = alias.asname or "hapticauth"
+                    aliases[local] = alias.name if alias.asname else "hapticauth"
+    return aliases
+
+
+def _module_name(node, aliases):
+    """The hapticauth module an expression such as `ad` or `hapticauth.model`
+    names, or None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _module_name(node.value, aliases)
+        if base and _is_module(f"{base}.{node.attr}"):
+            return f"{base}.{node.attr}"
+    return None
+
+
+def _module_attributes(source):
+    """(module, attribute) for every attribute read off a hapticauth module,
+    such as `ad.mul` after `from hapticauth import autodiff as ad`."""
+    aliases = _module_aliases(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            module = _module_name(node.value, aliases)
+            if module:
+                yield module, node.attr
 
 
 def test_sources_found():
@@ -63,3 +108,10 @@ def test_imports_exist(label, source):
     missing = [f"{mod}.{name}" if name else mod
                for mod, name in imported if not _exists(mod, name)]
     assert not missing, f"{label} imports names that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("label,source", SOURCES, ids=[label for label, _ in SOURCES])
+def test_module_attributes_exist(label, source):
+    missing = sorted({f"{mod}.{attr}" for mod, attr in _module_attributes(source)
+                      if not _exists(mod, attr)})
+    assert not missing, f"{label} reads attributes that do not exist: {missing}"

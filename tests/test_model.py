@@ -195,6 +195,28 @@ class TestForward:
         assert recorded._backward is not None and detached._backward is None
         np.testing.assert_array_equal(detached.data, recorded.data)
 
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_step_records_four_nodes_per_layer(self, num_layers):
+        # linear, then mhsa, add_layer_norm, ffn and add_layer_norm per layer,
+        # then mean, linear and the loss
+        params = build_model(replace(TINY, num_layers=num_layers), seed=3)
+        batch = np.random.default_rng(3).normal(size=(2, TINY.seq_len, 13)).astype(np.float32)
+        loss = cross_entropy(forward(params, batch), np.array([0, 1]))
+        nodes, stack, seen = 0, [loss], set()
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += t._backward is not None
+                stack.extend(t._parents)
+        assert nodes == 4 + 4 * num_layers
+
+    def test_nan_ffn_weight_reaches_loss(self):
+        params = build_model(TINY, seed=0)
+        params["layers.0.ffn.w1"].data[0, 0] = np.nan
+        batch = np.random.default_rng(0).normal(size=(2, TINY.seq_len, 13)).astype(np.float32)
+        assert np.isnan(cross_entropy(forward(params, batch), np.array([0, 1])).data)
+
     def test_paper_shapes_task(self):
         cfg = ModelConfig(num_classes=7, seq_len=64)
         params = build_model(cfg, seed=0)

@@ -289,7 +289,7 @@ class TestExperimentFactories:
             _train(mixed, "task", _fast_cfg())
 
     def test_nan_weight_after_last_update_names_model(self, small_synth, monkeypatch):
-        # relu maps NaN to 0, so a NaN written by the last update reaches no loss
+        # the last update is never followed by a loss: only the final check sees it
         from hapticauth import trainer
 
         def poisoning_adam_step(params, grads, state, *args, **kwargs):
