@@ -66,6 +66,8 @@ def _prepare_outdir(path_str: str | None, force: bool) -> Path:
     if not path_str:
         raise ConfigError("no output path given (set --out or HAPTICAUTH_OUT)")
     out = Path(path_str)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output path {out} is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
     out.mkdir(parents=True, exist_ok=True)
@@ -76,6 +78,8 @@ def _prepare_outfile(path_str: str | None, force: bool) -> Path:
     if not path_str:
         raise ConfigError("no output path given (set --out or HAPTICAUTH_OUT)")
     out = Path(path_str)
+    if out.is_dir():
+        raise ConfigError(f"output path {out} is a directory")
     if out.exists() and not force:
         raise ConfigError(f"output file {out} exists (use --force to overwrite)")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -225,6 +229,8 @@ def cmd_eval_experiment(args) -> int:
         raise DataError(f"checkpoint directory not found: {ckpt_dir}")
     if args.models:
         wanted = [m.strip() for m in args.models.split(",") if m.strip()]
+        if len(set(wanted)) != len(wanted):
+            raise ConfigError(f"--models repeats a model: {args.models!r}")
         paths = []
         for mid in wanted:
             p = ckpt_dir / f"{mid}.ckpt"

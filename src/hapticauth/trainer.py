@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import backward
 from .dataset import ForceTrace, TraceDataset
 from .errors import ConfigError, DataError
-from .evaluation import evaluate_model
+from .evaluation import evaluate_experiment
 from .features import FeatureSequence, pipeline
 from .model import ModelConfig, ModelParams, build_model, cross_entropy, forward
 from .signal import NormStats, zscore_apply, zscore_fit
@@ -41,8 +41,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.train_per_class < 1 or self.test_per_class < 1:
             raise ConfigError("train_per_class and test_per_class must be >= 1")
 
@@ -228,18 +228,6 @@ class ModelJob:
         return hashlib.sha256(json.dumps(keys, separators=(",", ":")).encode()).hexdigest()
 
 
-def featurize_job(job: ModelJob) -> tuple[list[FeatureSequence], NormStats | None]:
-    """Train features and, with normalize, the z-score stats fitted on them;
-    the test split is featurized with the same stats where it is scored."""
-    train_fs = job.featurize(job.train_traces)
-    stats = None
-    if job.train_cfg.normalize:
-        stats = zscore_fit([fs.values for fs in train_fs])
-        train_fs = [FeatureSequence(zscore_apply(fs.values, stats), fs.label, fs.source)
-                    for fs in train_fs]
-    return train_fs, stats
-
-
 def plan_job(dataset: TraceDataset, kind: str, group: str, class_labels,
              train_cfg: TrainConfig, model_cfg: ModelConfig) -> ModelJob:
     """The one place a model's split is derived: the group's traces, every
@@ -292,7 +280,15 @@ class TrainedModel:
 
 
 def run_job(job: ModelJob) -> tuple[ModelParams, NormStats | None, TrainHistory]:
-    train_fs, stats = featurize_job(job)
+    """Train on the job's train split; with normalize, the z-score stats are
+    fitted on that split, and the test split is featurized with them where it
+    is scored."""
+    train_fs = job.featurize(job.train_traces)
+    stats = None
+    if job.train_cfg.normalize:
+        stats = zscore_fit([fs.values for fs in train_fs])
+        train_fs = [FeatureSequence(zscore_apply(fs.values, stats), fs.label, fs.source)
+                    for fs in train_fs]
     try:
         params, history = train(job.train_cfg, job.model_cfg, train_fs)
     except DataError as exc:
@@ -322,21 +318,17 @@ class SweepPoint:
     per_group: dict[str, float]
 
 
-def _subsample_per_class(train_fs: list[FeatureSequence], size: int,
-                         rng: np.random.Generator) -> list[FeatureSequence]:
-    """Pick `size` sequences per class; index order is preserved so that a
-    full-size subsample reproduces the input list exactly."""
-    by_class: dict[int, list[int]] = {}
-    for i, fs in enumerate(train_fs):
-        by_class.setdefault(fs.label, []).append(i)
+def _subsample_job(job: ModelJob, size: int) -> ModelJob:
+    """The job trained on `size` of its train traces per class, drawn per
+    class and kept in split order, so that the full size is the job itself."""
+    rng = np.random.default_rng([job.train_cfg.seed, 3, size])
+    labels = [job.label_of(tr) for tr in job.train_traces]
     chosen: list[int] = []
-    for label in sorted(by_class):
-        idx = by_class[label]
-        if len(idx) < size:
-            raise DataError(f"class {label} has {len(idx)} train sequences, sweep needs {size}")
-        picked = rng.choice(len(idx), size=size, replace=False)
-        chosen.extend(idx[j] for j in picked)
-    return [train_fs[i] for i in sorted(chosen)]
+    for label in sorted(set(labels)):
+        idx = [i for i, y in enumerate(labels) if y == label]
+        chosen.extend(idx[j] for j in rng.choice(len(idx), size=size, replace=False))
+    return replace(job, model_id=f"sweep-{job.group}-{size}",
+                   train_traces=tuple(job.train_traces[i] for i in sorted(chosen)))
 
 
 def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
@@ -345,9 +337,11 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
                         users: list[str] | None = None) -> list[SweepPoint]:
     """Task-classification accuracy as a function of per-class training size.
 
-    The per-user split is fixed (the task experiment's plan); each
-    size subsamples from that fixed train split and evaluates on the fixed
-    test split, so the curve is comparable across sizes.
+    Each user's split is fixed by the task experiment's plan.  A point is
+    every user's task job trained, z-score stats included, on `size` of its
+    train trials per class and scored on its fixed test split, so the curve
+    is comparable across sizes.  Sizes run one after another, so memory holds
+    at most one model per user.
     """
     if not sizes:
         raise ConfigError("sweep needs at least one size")
@@ -359,28 +353,13 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
         )
     jobs = {job.group: job for job in plan_experiment(dataset, "task", train_cfg, model_template)}
     users = list(users) if users is not None else list(jobs)
+    if len(set(users)) != len(users):
+        raise ConfigError(f"sweep users repeat: {users}")
     unknown = sorted(set(users) - set(jobs))
     if unknown:
         raise DataError(f"sweep users not in dataset: {unknown}")
-    prepared = []
-    for user in users:
-        job = jobs[user]
-        train_fs, stats = featurize_job(job)
-        prepared.append((job, train_fs, job.featurize(job.test_traces, stats)))
-
     points = []
     for size in sizes:
-        per_group = {}
-        for job, train_fs, test_fs in prepared:
-            sub_rng = np.random.default_rng([job.train_cfg.seed, 3, size])
-            subset = _subsample_per_class(train_fs, size, sub_rng)
-            params, _ = train(job.train_cfg, job.model_cfg, subset)
-            report = evaluate_model(params, test_fs, list(job.class_labels),
-                                    model_id=f"sweep-{job.group}-{size}")
-            per_group[job.group] = report.accuracy
-        points.append(SweepPoint(
-            size=size,
-            mean_accuracy=float(np.mean(list(per_group.values()))),
-            per_group=per_group,
-        ))
+        exp = evaluate_experiment(run_jobs([_subsample_job(jobs[u], size) for u in users]))
+        points.append(SweepPoint(size, exp.mean_accuracy, exp.per_user))
     return points

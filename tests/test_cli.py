@@ -142,6 +142,17 @@ class TestTrainEval:
                      "--out", str(tmp_path / "r"), "--models", "task_user-u99"])
         assert code == 3
 
+    def test_repeated_model_id_rejected(self, dataset_dir, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        code = main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r"),
+                     "--models", "task_user-u01,task_user-u01,task_user-u02"])
+        assert code == 2
+        assert not (tmp_path / "r").exists()
+
     def test_eval_reports_match_in_process_run(self, dataset_dir, tmp_path):
         # the checkpoint -> rebuilt-split -> evaluate path must agree with
         # evaluating the trained models directly
@@ -274,6 +285,33 @@ class TestSweep:
     def test_bad_sizes_flag(self, dataset_dir, tmp_path):
         assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(tmp_path / "c.csv"), "--sizes", "2,x"] + TINY_FLAGS) == 2
+
+
+class TestOutputPaths:
+    def test_wrong_kind_of_output_path_is_usage_error(self, dataset_dir, tmp_path, monkeypatch):
+        manifest = str(dataset_dir / "manifest.json")
+        ckpt = tmp_path / "ckpt"
+        assert main(["train-experiment", "--manifest", manifest, "--kind", "task",
+                     "--out", str(ckpt)] + TINY_FLAGS) == 0
+        a_file = tmp_path / "a_file"
+        a_file.write_bytes(b"keep")
+
+        from hapticauth import trainer
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the output path")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        to_file = ["--out", str(a_file), "--force"]
+        assert main(synth_args(a_file) + ["--force"]) == 2
+        assert main(["filter", "--manifest", manifest] + to_file) == 2
+        assert main(["train-experiment", "--manifest", manifest, "--kind", "task"]
+                    + to_file + TINY_FLAGS) == 2
+        assert main(["eval-experiment", "--checkpoints", str(ckpt), "--manifest", manifest]
+                    + to_file) == 2
+        assert main(["sweep", "--manifest", manifest, "--out", str(ckpt), "--force",
+                     "--sizes", "2", "--users", "u01"] + TINY_FLAGS) == 2
+        assert a_file.read_bytes() == b"keep"
 
 
 class TestGradcheckCommand:

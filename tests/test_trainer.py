@@ -21,6 +21,7 @@ from hapticauth import (
 from hapticauth.errors import ConfigError, DataError
 from hapticauth.evaluation import evaluate_experiment
 from hapticauth.model import load_checkpoint, save_checkpoint
+from hapticauth.signal import zscore_fit
 
 from oracles import adam_scalar_trajectory
 
@@ -204,6 +205,11 @@ class TestTrain:
         with pytest.raises(DataError):
             train(TrainConfig(epochs=1), TINY_MODEL, [])
 
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_label_gap_rejected(self):
         seqs = [fs for fs in toy_set() if fs.label == 0]
         with pytest.raises(DataError, match="gap"):
@@ -373,3 +379,33 @@ class TestSweep:
         with pytest.raises(DataError):
             sweep_training_size(small_synth, _fast_cfg(), sizes=(2,),
                                 model_template=TINY_MODEL, users=["u99"])
+
+    def test_repeated_user_rejected(self, small_synth):
+        with pytest.raises(ConfigError, match="repeat"):
+            sweep_training_size(small_synth, _fast_cfg(), sizes=(2,),
+                                model_template=TINY_MODEL, users=["u01", "u01"])
+
+    def test_each_point_fits_zscore_on_its_subsample(self, small_synth, monkeypatch):
+        from hapticauth import trainer
+        fitted = []
+
+        def spy(seqs):
+            fitted.append(len(seqs))
+            return zscore_fit(seqs)
+
+        monkeypatch.setattr(trainer, "zscore_fit", spy)
+        sweep_training_size(small_synth, _fast_cfg(), sizes=(2, 5),
+                            model_template=TINY_MODEL, users=["u01"])
+        assert fitted == [2 * 2, 5 * 2]  # size x 2 tasks
+
+    def test_nan_names_sweep_model(self, small_synth, monkeypatch):
+        from hapticauth import trainer
+
+        def poisoning_adam_step(params, grads, state, *args, **kwargs):
+            adam_step(params, grads, state, *args, **kwargs)
+            params["layers.0.ffn.w1"].data[0, 0] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_step", poisoning_adam_step)
+        with pytest.raises(DataError, match=r"^model sweep-u01-2: "):
+            sweep_training_size(small_synth, _fast_cfg(), sizes=(2,),
+                                model_template=TINY_MODEL, users=["u01"])
