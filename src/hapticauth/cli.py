@@ -62,6 +62,13 @@ def _default_out() -> str | None:
     return os.environ.get("HAPTICAUTH_OUT")
 
 
+def _make_dirs(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # a part of the path is a file
+        raise ConfigError(f"cannot create directory {path}: a part of its path is a file") from None
+
+
 def _prepare_outdir(path_str: str | None, force: bool) -> Path:
     if not path_str:
         raise ConfigError("no output path given (set --out or HAPTICAUTH_OUT)")
@@ -70,7 +77,7 @@ def _prepare_outdir(path_str: str | None, force: bool) -> Path:
         raise ConfigError(f"output path {out} is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dirs(out)
     return out
 
 
@@ -82,7 +89,7 @@ def _prepare_outfile(path_str: str | None, force: bool) -> Path:
         raise ConfigError(f"output path {out} is a directory")
     if out.exists() and not force:
         raise ConfigError(f"output file {out} exists (use --force to overwrite)")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dirs(out.parent)
     return out
 
 

@@ -29,6 +29,10 @@ PAPER_SEQ_LENS = (64, 512)
 # elements in one (heads, L, L) attention score block: 1 MB of float32, so a
 # block stays in a 2 MB per-core L2 cache
 SCORE_BLOCK = 2 ** 18
+# attention rows whose bounded-shift sum l falls below this are redone with
+# their exact max: it keeps 1/l <= 2^40 and costs a kept row at most ~28 nats
+# of float32's ~87 of exp range
+ROW_SUM_FLOOR = 2.0 ** -40
 LAYER_NORM_EPS = 1e-5
 
 
@@ -179,14 +183,26 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
 
     One graph node with parents (x, wq, wk, wv, wo) and a hand-written
     backward.  The softmax is never normalised over the (L, L) scores: v
-    carries a column of ones, so e @ [v | 1] with e = exp(s - rowmax) gives
-    the context numerator and the row sums l in one GEMM, and the context is
-    the numerator times 1/l (the output-side normalisation of FlashAttention,
-    Dao et al. 2022).  The B·h head matrices are handled in blocks of at most
-    SCORE_BLOCK score elements, each computed into one reused scratch block.
-    Training and inference run the same forward; it keeps only the row max
-    and 1/l, and backward recomputes each block's e from q, k and the row max
-    (the FlashAttention backward), so no (B, h, L, L) tensor is allocated."""
+    carries a column of ones, so e @ [v | 1] gives the context numerator and
+    the row sums l in one GEMM, and the context is the numerator times 1/l
+    (the output-side normalisation of FlashAttention, Dao et al. 2022).
+
+    There is no row-max pass either.  Row i is shifted by the Cauchy-Schwarz
+    bound m_i = |q_i| * max_j |k_j| >= max_j s_ij, which is known before the
+    scores are (the unified max value of FlashDecoding++, Hong et al. 2023):
+    q carries the column -m and k a column of ones, so [q | -m] @ [k | 1]^T
+    writes s - m straight out of the GEMM and exp(s - m) is at most 1 up to
+    rounding.  Softmax ignores a per-row shift, so no gradient flows through
+    m.  Underflow guard: a row whose bound overshoots so far that l falls
+    below ROW_SUM_FLOOR, and every row with one key (L = 1, which must weigh
+    its key exactly 1), is redone with its exact row max, and that max
+    replaces its -m.
+
+    The B·h head matrices are handled in blocks of at most SCORE_BLOCK score
+    elements, each computed into one reused scratch block.  Training and
+    inference run the same forward; it keeps only [q | -m] and 1/l, and
+    backward recomputes each block's e with the same GEMM and exp (the
+    FlashAttention backward), so no (B, h, L, L) tensor is allocated."""
     if x.data.ndim != 3:
         raise ShapeError(f"mhsa expects (B, L, d) input, got {x.shape}")
     bsz, length, d = x.shape
@@ -202,31 +218,40 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     per_block = max(1, min(n, SCORE_BLOCK // (length * length)))
     blocks = [slice(i, i + per_block) for i in range(0, n, per_block)]
 
-    # head arrays are copied contiguous: BLAS runs the L x L products on
-    # strided (row stride d) head views several times slower
-    def heads(a: np.ndarray) -> np.ndarray:  # (B·L, d) -> (B·h, L, dh)
-        a = a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(a).reshape(n, length, head_dim)
+    # heads go into contiguous (B·h, L, dh + 1) arrays: BLAS runs the L x L
+    # products on strided (row stride d) head views several times slower
+    def heads(a: np.ndarray, out: np.ndarray) -> None:  # (B·L, d) -> out[..., :dh]
+        out.reshape(bsz, num_heads, length, head_dim + 1)[..., :head_dim] = \
+            a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3)
 
     x_flat = x.data.reshape(bsz * length, d)
-    q, k = heads(x_flat @ wq.data), heads(x_flat @ wk.data)
+    q1, k1, v1 = np.empty((3, n, length, head_dim + 1), dtype=dtype)  # [q | -m], [k | 1], [v | 1]
+    for w, out in zip((wq, wk, wv), (q1, k1, v1)):
+        heads(x_flat @ w.data, out)
+    q, k = q1[..., :head_dim], k1[..., :head_dim]
     q *= scale  # scaling q, not the (L, L) scores, saves a pass over them
-    v1 = np.empty((n, length, head_dim + 1), dtype=dtype)  # [v | 1]
-    v1[..., :head_dim] = heads(x_flat @ wv.data)
-    v1[..., head_dim] = 1
-    rowmax = np.empty((n, length, 1), dtype=dtype)
+    k1[..., head_dim] = v1[..., head_dim] = 1
+    max_k2 = np.einsum("nld,nld->nl", k, k).max(axis=1, keepdims=True)
+    q1[..., head_dim] = -np.sqrt(np.einsum("nld,nld->nl", q, q) * max_k2)
     scratch = np.empty((per_block, length, length), dtype=dtype)
 
-    def exp_scores(s: slice, find_max: bool) -> np.ndarray:  # e = exp(q kᵀ - rowmax) in scratch
-        e = np.matmul(q[s], k[s].transpose(0, 2, 1), out=scratch[:len(q[s])])
-        if find_max:
-            np.max(e, axis=-1, keepdims=True, out=rowmax[s])
-        e -= rowmax[s]
+    def exp_scores(s: slice) -> np.ndarray:  # e = exp([q | -m] @ [k | 1]^T) in scratch
+        e = np.matmul(q1[s], k1[s].transpose(0, 2, 1), out=scratch[:len(q1[s])])
         return np.exp(e, out=e)
 
     num = np.empty_like(v1)  # [e @ v | l]
     for s in blocks:
-        np.matmul(exp_scores(s, find_max=True), v1[s], out=num[s])
+        np.matmul(exp_scores(s), v1[s], out=num[s])
+    # underflow guard: redo these rows from their exact max, and put that max
+    # in -m so that backward recomputes the same e
+    redo = (num[..., head_dim] < ROW_SUM_FLOOR) | (length == 1)
+    for hd in np.flatnonzero(redo.any(axis=1)):
+        rows = np.flatnonzero(redo[hd])
+        e = q[hd, rows] @ k[hd].T
+        row_max = e.max(axis=1, keepdims=True)
+        e -= row_max
+        num[hd, rows] = np.exp(e, out=e) @ v1[hd]
+        q1[hd, rows, head_dim] = -row_max[:, 0]
     inv_l = 1 / num[..., head_dim:]
     ctx = num[..., :head_dim]
     ctx *= inv_l
@@ -240,14 +265,14 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         # p = e / l, which is e * (a @ [v | 1]^T) for a = [dctx | -rowsum] / l
         a = np.empty_like(v1)
         dctx = a[..., :head_dim]
-        dctx[...] = heads(g @ wo.data.T)
+        heads(g @ wo.data.T, a)
         a[..., head_dim] = -np.einsum("nld,nld->nl", dctx, ctx)
         a *= inv_l
         dqkv = np.empty((3, bsz, num_heads, length, head_dim), dtype=dtype)
         dq, dk, dv = dqkv.reshape(3, n, length, head_dim)
         ds_block = np.empty_like(scratch)
         for s in blocks:
-            e = exp_scores(s, find_max=False)
+            e = exp_scores(s)
             ds = ds_block[:len(e)]
             np.matmul(e.transpose(0, 2, 1), dctx[s], out=dv[s])  # dctx is now dctx / l
             np.matmul(a[s], v1[s].transpose(0, 2, 1), out=ds)

@@ -91,7 +91,8 @@ def cosine_lr(epoch: int, total: int, base: float, floor: float = 0.0) -> float:
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """Standard bias-corrected Adam update, in place on the parameter buffers."""
+    """Standard bias-corrected Adam update, in place on the moment and
+    parameter buffers: w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
@@ -102,13 +103,18 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
             continue
         if g.shape != tensor.data.shape:
             raise ConfigError(f"gradient shape {g.shape} != parameter {name} shape {tensor.data.shape}")
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / bc1
-        v_hat = v / bc2
-        tensor.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v = state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        step = m / bc1
+        step *= lr
+        den = v / bc2
+        np.sqrt(den, out=den)
+        den += eps
+        step /= den
+        tensor.data -= step
 
 
 def split_dataset(dataset: TraceDataset, n_train: int, n_test: int,

@@ -117,6 +117,21 @@ def adam_scalar_trajectory(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return out
 
 
+def adam_array_trajectory(theta0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam on one array, in the array's dtype, with a fresh m and
+    v per step; returns the parameters after the last gradient."""
+    theta = np.array(theta0)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta
+
+
 def two_pass_stats(seqs):
     """Pooled per-channel mean and population std via explicit two passes."""
     rows = [row for s in seqs for row in np.asarray(s, dtype=np.float64)]

@@ -314,6 +314,20 @@ class TestOutputPaths:
         assert a_file.read_bytes() == b"keep"
 
 
+    @pytest.mark.parametrize("command", ["synth", "sweep"])
+    def test_output_beneath_a_file_is_usage_error(self, command, dataset_dir, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_bytes(b"keep")
+        argv = {"synth": synth_args(a_file / "sub"),
+                "sweep": ["sweep", "--manifest", str(dataset_dir / "manifest.json"),
+                          "--out", str(a_file / "sub" / "curve.json"),
+                          "--sizes", "2", "--users", "u01"] + TINY_FLAGS}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert a_file.read_bytes() == b"keep"
+
+
 class TestGradcheckCommand:
     def test_small_model_passes(self):
         assert main(["gradcheck", "--d-model", "32", "--heads", "4", "--ffn-dim", "32",

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hapticauth import (
     ModelConfig,
@@ -19,9 +20,35 @@ from hapticauth import (
 from hapticauth import autodiff as ad
 from hapticauth.autodiff import Tensor, grad_check
 from hapticauth.errors import ConfigError, DataError, ShapeError
-from hapticauth.model import SCORE_BLOCK
+from hapticauth.model import ROW_SUM_FLOOR, SCORE_BLOCK
 
 from oracles import attention_per_head, cross_entropy_per_sample
+
+def huge_orthogonal_key(huge, dtype, seed=0):
+    """Attention inputs (B 2, L 6, d 8, 2 heads) where position 3's key in
+    head 0 is huge * e_0 and every query has a 0 there: the key is
+    orthogonal to all queries, but its norm sets the Cauchy-Schwarz bound."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, 6, 8))
+    x[:, :, 0] = 0
+    x[:, 3] = 0
+    x[:, 3, 0] = huge
+    wq, wk, wv, wo = (rng.normal(size=(8, 8)) / math.sqrt(8) for _ in range(4))
+    wq[0], wq[:, 0] = 0, 0
+    wk[0], wk[0, 0] = 0, 1
+    return x.astype(dtype), [w.astype(dtype) for w in (wq, wk, wv, wo)]
+
+
+def bounded_row_sums(x, wq, wk, num_heads):
+    """Per row, sum_j exp(s_ij - |q_i| max_j |k_j|) in x's dtype: the
+    softmax sums that a bounded shift without the underflow guard gets."""
+    bsz, length, d = x.shape
+    dh = d // num_heads
+    q = (x @ wq).reshape(bsz, length, num_heads, dh).transpose(0, 2, 1, 3) / x.dtype.type(math.sqrt(dh))
+    k = (x @ wk).reshape(bsz, length, num_heads, dh).transpose(0, 2, 1, 3)
+    shift = np.linalg.norm(q, axis=-1)[..., None] * np.linalg.norm(k, axis=-1).max(axis=-1)[..., None, None]
+    return np.exp(q @ k.transpose(0, 1, 3, 2) - shift).sum(axis=-1)
+
 
 TINY = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=2, num_classes=3, seq_len=8)
 
@@ -154,6 +181,44 @@ class TestMhsa:
         err = grad_check(lambda: ad.tsum(ad.mul(mhsa(x, *ws, h), w_out)), [x, *ws],
                          eps=1e-6, num_samples=300, seed=0, min_magnitude=min_magnitude)
         assert err < 1e-6, f"max relative error {err}"
+
+    def test_underflow_guard_matches_oracle(self):
+        # the bound overshoots head 0's true row max by hundreds of nats, so
+        # without the guard its float32 row sums are 0 and the context NaN
+        x, ws = huge_orthogonal_key(1e3, np.float32)
+        assert (bounded_row_sums(x, ws[0], ws[1], 2) < ROW_SUM_FLOOR).any()
+        out = mhsa(Tensor(x), *(Tensor(w) for w in ws), 2).data
+        assert np.isfinite(out).all()
+        oracle = attention_per_head(x, *ws, 2)
+        np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
+
+    def test_gradient_through_underflow_guard(self):
+        # the guarded rows' scores are redone with their exact max; the bound
+        # still moves the other rows' rounding with the huge key's norm, so
+        # coordinates whose true gradient is 0 (wk[0, 0]) read ~1e-8 of noise
+        # and, as at (2, 160, 32, 16), gradients below 1e-2 are not sampled
+        x, ws = huge_orthogonal_key(60.0, np.float64)
+        assert (bounded_row_sums(x, ws[0], ws[1], 2) < ROW_SUM_FLOOR).any()
+        xt = Tensor(x, requires_grad=True, dtype=np.float64)
+        wt = [Tensor(w, requires_grad=True, dtype=np.float64) for w in ws]
+        w_out = Tensor(np.random.default_rng(9).normal(size=x.shape), dtype=np.float64)
+        err = grad_check(lambda: ad.tsum(ad.mul(mhsa(xt, *wt, 2), w_out)), [xt, *wt],
+                         eps=1e-6, num_samples=300, seed=0, min_magnitude=1e-2)
+        assert err < 1e-6, f"max relative error {err}"
+
+    # up to L 200 a score block holds 6 or more head matrices, so blocks cut
+    # across samples whenever B·h is not a multiple of the block's count
+    @settings(max_examples=25, deadline=None)
+    @given(bsz=st.integers(1, 3), length=st.integers(1, 200), head_dim=st.integers(1, 8),
+           h=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_drawn_shapes_match_oracle(self, bsz, length, head_dim, h, seed):
+        rng = np.random.default_rng(seed)
+        d = head_dim * h
+        x = Tensor(rng.normal(size=(bsz, length, d)).astype(np.float32))
+        wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
+        out = mhsa(x, wq, wk, wv, wo, h).data
+        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     def test_keeps_no_score_tensor(self):
         # one (B, h, L, L) float32 score tensor at B 2, L 512, 16 heads is

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hapticauth
 from hapticauth import (
     AdamState,
     FeatureSequence,
@@ -23,7 +29,7 @@ from hapticauth.evaluation import evaluate_experiment
 from hapticauth.model import load_checkpoint, save_checkpoint
 from hapticauth.signal import zscore_fit
 
-from oracles import adam_scalar_trajectory
+from oracles import adam_array_trajectory, adam_scalar_trajectory
 
 TINY_MODEL = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=2,
                          num_classes=2, seq_len=16)
@@ -136,6 +142,20 @@ class TestAdamStep:
             seen.append(float(theta.data[0, 0]))
         assert seen == pytest.approx(adam_scalar_trajectory(1.0, grads, 0.1), rel=1e-5)
 
+    def test_thirty_steps_bit_identical_to_array_oracle(self):
+        params = build_model(ModelConfig(d_model=64, num_heads=4, ffn_dim=64, num_classes=7),
+                             seed=3)
+        state = AdamState.init(params)
+        before = {k: t.data.copy() for k, t in params.trainable().items()}
+        rng = np.random.default_rng(3)
+        grads = [{k: rng.normal(scale=10.0 ** rng.integers(-6, 1), size=w.shape).astype(np.float32)
+                  for k, w in before.items()} for _ in range(30)]
+        for step_grads in grads:
+            adam_step(params, step_grads, state, lr=1e-3)
+        for k, t in params.trainable().items():
+            expected = adam_array_trajectory(before[k], [g[k] for g in grads], 1e-3)
+            np.testing.assert_array_equal(t.data, expected)
+
     def test_three_step_scalar_quadratic_matches_oracle(self):
         # loss = theta^2, gradient 2*theta re-evaluated after every update
         from hapticauth.autodiff import Tensor
@@ -159,7 +179,39 @@ class TestAdamStep:
             adam_step(params, {"head.b": np.zeros(99, dtype=np.float32)}, state, lr=1e-3)
 
 
+# seeded training at L 512 (4 Adam steps), then a sha256 over every parameter
+BLAS_RUN = """
+import hashlib
+import numpy as np
+from hapticauth import FeatureSequence, ModelConfig, TrainConfig, train
+rng = np.random.default_rng(0)
+seqs = [FeatureSequence(rng.standard_normal((512, 13)).astype(np.float32) + label, label,
+                        ("u", "t", i, "raw")) for i, label in enumerate([0, 1] * 3)]
+params, _ = train(TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3, seed=0),
+                  ModelConfig(d_model=16, num_heads=2, ffn_dim=16, seq_len=512), seqs)
+digest = hashlib.sha256()
+for name, t in params.items():
+    digest.update(name.encode() + t.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestTrain:
+    def test_parameters_independent_of_blas_threads(self):
+        # a worker process run with one BLAS thread must write the checkpoint
+        # a serial two-thread run writes, so GEMM results, attention's
+        # shifted scores included, must not depend on the thread count
+        src = str(Path(hapticauth.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", BLAS_RUN], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
     def test_overfits_toy_set(self):
         seqs = toy_set()
         cfg = TrainConfig(learning_rate=1e-3, epochs=60, batch_size=4, seed=0)
