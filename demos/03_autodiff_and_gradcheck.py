@@ -43,7 +43,7 @@ batch = np.random.default_rng(0).standard_normal((4, 16, 13)).astype(np.float32)
 logits = forward(params, batch)
 loss = cross_entropy(logits, np.array([0, 1, 2, 3]))
 backward(loss)
-grads = {k: t.grad for k, t in params.trainable().items()}
+grads = {k: t.grad for k, t in params.items()}
 print(f"\nforward+backward: loss {float(loss.data):.4f}, "
       f"{sum(g.size for g in grads.values())} gradient entries populated")
 
@@ -51,7 +51,7 @@ print(f"\nforward+backward: loss {float(loss.data):.4f}, "
 params64 = build_model(cfg, seed=3).astype(np.float64)
 check_batch, check_labels = draw_kink_free_batch(params64, 2, seed=1)
 err = grad_check(lambda: cross_entropy(forward(params64, check_batch), check_labels),
-                 params64.trainable(), eps=1e-5, num_samples=200, seed=1,
+                 dict(params64.items()), eps=1e-5, num_samples=200, seed=1,
                  min_magnitude=1e-6)
 print(f"gradcheck on the 2-layer encoder: max relative error {err:.2e} "
       f"({'OK' if err < 1e-4 else 'BROKEN'})")

@@ -45,7 +45,6 @@ from .signal import NormStats, filter_trace
 from .trainer import (
     DEFAULT_SEQ_LEN,
     DEFAULT_SWEEP_SIZES,
-    ModelJob,
     TrainConfig,
     TrainedModel,
     plan_experiment,
@@ -213,21 +212,35 @@ def cmd_train_experiment(args) -> int:
 
 # --- eval-experiment -----------------------------------------------------
 
-def _plan_from_meta(dataset, meta: dict, model_cfg: ModelConfig) -> ModelJob:
-    """Rebuild a checkpoint's job from the fields _save_trained writes; a
-    DataError unless its split is the one the model was trained on."""
+# the meta fields that _save_trained writes and _load_trained plans from
+JOB_FIELDS = ("model_id", "kind", "group", "class_labels", "variant", "seed", "normalize",
+              "train_per_class", "test_per_class")
+
+
+def _load_trained(dataset, path: Path) -> TrainedModel:
+    """A checkpoint's weights and stats with its job rebuilt from its meta;
+    a DataError unless the job's split is the one the model was trained on."""
+    params, meta, extras = load_checkpoint(path)
+    missing = [f for f in JOB_FIELDS if f not in meta]
+    if missing:
+        raise DataError(f"checkpoint {path} meta lacks job fields {missing}")
     if "split_digest" not in meta:
         raise DataError(f"model {meta['model_id']}: checkpoint has no split digest, "
                         f"so its test split cannot be verified")
+    stats = None
+    if meta["normalize"]:
+        if "norm.mean" not in extras or "norm.std" not in extras:
+            raise DataError(f"checkpoint {path} marked normalized but has no stats tensors")
+        stats = NormStats(mean=extras["norm.mean"], std=extras["norm.std"])
     train_cfg = TrainConfig(seed=int(meta["seed"]), normalize=meta["normalize"],
                             train_per_class=meta["train_per_class"],
                             test_per_class=meta["test_per_class"])
     job = plan_job(dataset.subset(variant=meta["variant"]), meta["kind"], meta["group"],
-                   meta["class_labels"], train_cfg, model_cfg)
+                   meta["class_labels"], train_cfg, params.config)
     if job.split_digest != meta["split_digest"]:
         raise DataError(f"model {meta['model_id']}: this manifest splits its group "
                         f"differently from training (split digest mismatch)")
-    return job
+    return TrainedModel(job, params, stats)
 
 
 def cmd_eval_experiment(args) -> int:
@@ -252,16 +265,7 @@ def cmd_eval_experiment(args) -> int:
     dataset = load_dataset(manifest, Path(args.manifest).parent)
     out = _prepare_outdir(args.out, args.force)
 
-    models = []
-    for p in paths:
-        params, meta, extras = load_checkpoint(p)
-        stats = None
-        if meta.get("normalize"):
-            if "norm.mean" not in extras or "norm.std" not in extras:
-                raise DataError(f"checkpoint {p} marked normalized but has no stats tensors")
-            stats = NormStats(mean=extras["norm.mean"], std=extras["norm.std"])
-        models.append(TrainedModel(_plan_from_meta(dataset, meta, params.config), params, stats))
-    exp = evaluate_experiment(models)
+    exp = evaluate_experiment([_load_trained(dataset, p) for p in paths])
     write_experiment_files(exp, out, svg=not args.no_svg)
     for r in exp.reports:
         print(f"{r.model_id}: accuracy={r.accuracy:.4f}")
@@ -332,11 +336,11 @@ def cmd_gradcheck(args) -> int:
         loss = cross_entropy(forward(params, batch), labels)
         if fault:
             # value tracks the weights but the graph does not: verification must fail
-            drift = 0.001 * sum(float((t.data ** 2).sum()) for t in params.trainable().values())
+            drift = 0.001 * sum(float((t.data ** 2).sum()) for _, t in params.items())
             loss = ad.mul(loss, Tensor(np.float64(1 + drift), dtype=np.float64))
         return loss
 
-    err = grad_check(f, params.trainable(), eps=args.eps, num_samples=args.samples,
+    err = grad_check(f, dict(params.items()), eps=args.eps, num_samples=args.samples,
                      seed=args.seed, min_magnitude=args.min_grad)
     ok = quad_err < QUADRATIC_THRESHOLD and err < args.threshold
     print(f"model gradcheck ({args.samples} coords, eps={args.eps}): "

@@ -227,7 +227,10 @@ class DatasetManifest:
                 raise SchemaError(f"manifest entry {i} invalid: {exc}") from None
             if entries[-1].variant not in VARIANTS:
                 raise SchemaError(f"manifest entry {i}: bad variant {entries[-1].variant!r}")
-        return cls(entries=entries, sample_rate=float(doc.get("sample_rate", DEFAULT_SAMPLE_RATE)))
+        rate = doc.get("sample_rate", DEFAULT_SAMPLE_RATE)
+        if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
+            raise SchemaError(f"manifest sample_rate must be finite and positive, got {rate!r}")
+        return cls(entries=entries, sample_rate=float(rate))
 
     def save(self, path: Path | str) -> None:
         atomic_write_text(path, self.to_json())

@@ -4,9 +4,10 @@ Post-norm encoder layers (LayerNorm(x + Sublayer(x))), fixed sinusoidal
 positional encodings, mean-pooling over time, and a linear head.  Each layer
 is a fused op with a hand-written backward and records one graph node:
 linear (in-projection and head), mhsa, ffn and add_layer_norm, so a step
-without dropout records 4 + 4 * num_layers nodes with the loss.  Parameters
-live in a named-tensor map so the optimizer, checkpoints, and gradient
-checks all see one flat, deterministically ordered view.
+without dropout records 4 + 4 * num_layers nodes with the loss.  A model is
+its learned weights: param_shapes names each tensor once, in the order that
+build_model draws, the optimizer walks and checkpoints store them.  The
+positional table is computed from the config, never stored.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -23,8 +25,9 @@ from . import autodiff as ad
 from .autodiff import Tensor, _make
 from .dataset import atomic_write
 from .errors import ConfigError, DataError, ShapeError
+from .features import NUM_FEATURES
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 PAPER_SEQ_LENS = (64, 512)
 # elements in one (heads, L, L) attention score block: 1 MB of float32, so a
 # block stays in a 2 MB per-core L2 cache
@@ -38,7 +41,6 @@ LAYER_NORM_EPS = 1e-5
 
 @dataclass(frozen=True)
 class ModelConfig:
-    input_channels: int = 13
     d_model: int = 256
     num_heads: int = 16
     ffn_dim: int = 256
@@ -60,8 +62,8 @@ class ModelConfig:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.seq_len < 1 or self.input_channels < 1:
-            raise ConfigError(f"seq_len and input_channels must be positive: {self}")
+        if self.seq_len < 1:
+            raise ConfigError(f"seq_len must be positive, got {self.seq_len}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -82,8 +84,8 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Named tensors in a fixed order; the non-trainable positional table is
-    carried alongside the learned weights."""
+    """The learned weights: named tensors in param_shapes order, every one
+    updated by training."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
         self.config = config
@@ -92,20 +94,11 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._tensors.items())
-
-    def trainable(self) -> dict[str, Tensor]:
-        return {k: t for k, t in self._tensors.items() if t.requires_grad}
-
-    def num_trainable(self) -> int:
-        return sum(t.data.size for t in self._tensors.values() if t.requires_grad)
 
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(self.config, {k: t.astype(dtype) for k, t in self._tensors.items()})
@@ -121,8 +114,12 @@ class ModelParams:
             t.zero_grad()
 
 
-def positional_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarray:
-    """Sinusoidal table: PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos(...)."""
+@lru_cache(maxsize=8)
+def positional_encoding(length: int, d_model: int) -> np.ndarray:
+    """Sinusoidal table: PE[p, 2i] = sin(p / 10000^(2i/d)), PE[p, 2i+1] = cos(...).
+
+    Read-only float32, computed once per (length, d_model); a float64
+    forward adds the same float32-rounded values."""
     if length < 1 or d_model < 1:
         raise ConfigError(f"positional encoding needs positive dims, got ({length}, {d_model})")
     if d_model % 2 != 0:
@@ -130,50 +127,48 @@ def positional_encoding(length: int, d_model: int, dtype=np.float32) -> np.ndarr
     pos = np.arange(length, dtype=np.float64)[:, None]
     i2 = np.arange(0, d_model, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, i2 / d_model)
-    table = np.empty((length, d_model), dtype=dtype)
+    table = np.empty((length, d_model), dtype=np.float32)
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 
-def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
-    """Deterministic init: weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
-    biases zero, layer-norm gamma 1 / beta 0."""
-    rng = np.random.default_rng(seed)
-
-    def linear_weight(fan_in: int, fan_out: int) -> Tensor:
-        bound = 1.0 / math.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
-        return Tensor(w, requires_grad=True)
-
-    def zeros(*shape: int) -> Tensor:
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-    def ones(*shape: int) -> Tensor:
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every learned tensor's name and shape, in draw and storage order."""
     d, ffn = cfg.d_model, cfg.ffn_dim
-    tensors: dict[str, Tensor] = {}
-    tensors["in_proj.w"] = linear_weight(cfg.input_channels, d)
-    tensors["in_proj.b"] = zeros(d)
-    tensors["pos.table"] = Tensor(positional_encoding(cfg.seq_len, d), requires_grad=False)
+    shapes = {"in_proj.w": (NUM_FEATURES, d), "in_proj.b": (d,)}
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
-        tensors[f"{p}.attn.wq"] = linear_weight(d, d)
-        tensors[f"{p}.attn.wk"] = linear_weight(d, d)
-        tensors[f"{p}.attn.wv"] = linear_weight(d, d)
-        tensors[f"{p}.attn.wo"] = linear_weight(d, d)
-        tensors[f"{p}.ln1.gamma"] = ones(d)
-        tensors[f"{p}.ln1.beta"] = zeros(d)
-        tensors[f"{p}.ffn.w1"] = linear_weight(d, ffn)
-        tensors[f"{p}.ffn.b1"] = zeros(ffn)
-        tensors[f"{p}.ffn.w2"] = linear_weight(ffn, d)
-        tensors[f"{p}.ffn.b2"] = zeros(d)
-        tensors[f"{p}.ln2.gamma"] = ones(d)
-        tensors[f"{p}.ln2.beta"] = zeros(d)
-    tensors["head.w"] = linear_weight(d, cfg.num_classes)
-    tensors["head.b"] = zeros(cfg.num_classes)
-    return ModelParams(cfg, tensors)
+        shapes.update({
+            f"{p}.attn.wq": (d, d), f"{p}.attn.wk": (d, d),
+            f"{p}.attn.wv": (d, d), f"{p}.attn.wo": (d, d),
+            f"{p}.ln1.gamma": (d,), f"{p}.ln1.beta": (d,),
+            f"{p}.ffn.w1": (d, ffn), f"{p}.ffn.b1": (ffn,),
+            f"{p}.ffn.w2": (ffn, d), f"{p}.ffn.b2": (d,),
+            f"{p}.ln2.gamma": (d,), f"{p}.ln2.beta": (d,),
+        })
+    shapes["head.w"] = (d, cfg.num_classes)
+    shapes["head.b"] = (cfg.num_classes,)
+    return shapes
+
+
+def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
+    """Deterministic init in param_shapes order: (fan_in, fan_out) weights
+    ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), layer-norm gamma 1, biases and
+    layer-norm beta 0."""
+    rng = np.random.default_rng(seed)
+
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 2:
+            bound = 1.0 / math.sqrt(shape[0])
+            return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        if name.endswith(".gamma"):
+            return np.ones(shape, dtype=np.float32)
+        return np.zeros(shape, dtype=np.float32)
+
+    return ModelParams(cfg, {name: Tensor(init(name, shape), requires_grad=True)
+                             for name, shape in param_shapes(cfg).items()})
 
 
 def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -384,10 +379,8 @@ def forward(params: ModelParams, batch: np.ndarray, *,
     """
     cfg = params.config
     x_in = np.asarray(batch)
-    if x_in.ndim != 3 or x_in.shape[2] != cfg.input_channels:
-        raise ShapeError(
-            f"batch shape {x_in.shape} does not match (B, L, {cfg.input_channels})"
-        )
+    if x_in.ndim != 3 or x_in.shape[2] != NUM_FEATURES:
+        raise ShapeError(f"batch shape {x_in.shape} does not match (B, L, {NUM_FEATURES})")
     if x_in.shape[1] != cfg.seq_len:
         raise ShapeError(f"batch length {x_in.shape[1]} != configured seq_len {cfg.seq_len}")
     dtype = params["in_proj.w"].data.dtype
@@ -395,7 +388,7 @@ def forward(params: ModelParams, batch: np.ndarray, *,
     x = linear(Tensor(x_in, dtype=dtype), params["in_proj.w"], params["in_proj.b"])
     # the table is a constant and linear's backward never reads its output,
     # so the positions go in place, with no graph node
-    x.data += params["pos.table"].data
+    x.data += positional_encoding(cfg.seq_len, cfg.d_model)
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
         attn_out = mhsa(x, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"],
@@ -417,7 +410,7 @@ def draw_kink_free_batch(params: ModelParams, batch_size: int, seed: int = 0,
     cfg = params.config
     for attempt in range(max_tries):
         rng = np.random.default_rng([seed, attempt])
-        batch = rng.standard_normal((batch_size, cfg.seq_len, cfg.input_channels))
+        batch = rng.standard_normal((batch_size, cfg.seq_len, NUM_FEATURES))
         labels = rng.integers(0, cfg.num_classes, size=batch_size)
         preacts: list[np.ndarray] = []
         forward(params, batch.astype(params["in_proj.w"].data.dtype), ffn_preacts=preacts)
@@ -439,12 +432,12 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    probs = np.exp(z - zmax)
+    sums = probs.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(sums[:, 0])
     picked = z[np.arange(bsz), y]
     loss_val = np.asarray((lse - picked).mean(), dtype=z.dtype)
-
-    probs = np.exp(z - zmax)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= sums
 
     def backward_fn(g):
         dz = probs.copy()
@@ -479,8 +472,8 @@ def save_checkpoint(path: Path | str, params: ModelParams,
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; validates every tensor shape against the header and
-    the model shapes implied by the stored config."""
+    """Read a checkpoint; validates its version first, then every tensor
+    shape against the header and against param_shapes of the stored config."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"checkpoint not found: {p}")
@@ -490,13 +483,17 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.n
         raise DataError(f"checkpoint {p} has no header line")
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
-        tensor_list = [(str(n), tuple(int(x) for x in s)) for n, s in header["tensors"]]
         version = int(header["format_version"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
+    # an older config may not parse, so the version is checked before it
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version} in {p}")
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+        tensor_list = [(str(n), tuple(int(x) for x in s)) for n, s in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
 
     offset = nl + 1
     arrays: dict[str, np.ndarray] = {}
@@ -510,21 +507,14 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.n
     if offset != len(raw):
         raise DataError(f"checkpoint {p} has {len(raw) - offset} trailing bytes")
 
-    reference = build_model(cfg, seed=0)
-    tensors: dict[str, Tensor] = {}
-    extras: dict[str, np.ndarray] = {}
-    for name, arr in arrays.items():
-        if name in reference:
-            expected = reference[name].data.shape
-            if arr.shape != expected:
-                raise DataError(
-                    f"checkpoint tensor {name!r} has shape {arr.shape}, expected {expected}"
-                )
-            tensors[name] = Tensor(arr, requires_grad=reference[name].requires_grad)
-        else:
-            extras[name] = arr
-    missing = [n for n in reference.names() if n not in tensors]
+    shapes = param_shapes(cfg)
+    missing = [n for n in shapes if n not in arrays]
     if missing:
         raise DataError(f"checkpoint {p} missing tensors: {missing}")
-    ordered = {name: tensors[name] for name in reference.names()}
-    return ModelParams(cfg, ordered), dict(header.get("meta", {})), extras
+    for name, expected in shapes.items():
+        if arrays[name].shape != expected:
+            raise DataError(
+                f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {expected}"
+            )
+    tensors = {name: Tensor(arrays.pop(name), requires_grad=True) for name in shapes}
+    return ModelParams(cfg, tensors), dict(header.get("meta", {})), arrays

@@ -71,10 +71,9 @@ class AdamState:
 
     @classmethod
     def init(cls, params: ModelParams) -> "AdamState":
-        trainable = params.trainable()
         return cls(
-            m={k: np.zeros_like(t.data) for k, t in trainable.items()},
-            v={k: np.zeros_like(t.data) for k, t in trainable.items()},
+            m={k: np.zeros_like(t.data) for k, t in params.items()},
+            v={k: np.zeros_like(t.data) for k, t in params.items()},
             step=0,
         )
 
@@ -97,7 +96,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, tensor in params.trainable().items():
+    for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
             continue
@@ -183,7 +182,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
                 raise DataError(f"non-finite training loss {float(loss.data)} "
                                 f"at epoch {epoch}, step {step}")
             backward(loss)
-            grads = {k: t.grad for k, t in params.trainable().items() if t.grad is not None}
+            grads = {k: t.grad for k, t in params.items() if t.grad is not None}
             adam_step(params, grads, state, lr)
             loss_sum += float(loss.data) * len(idx)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
@@ -191,7 +190,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
         history.train_acc.append(correct / n)
         history.lr.append(lr)
     # the last update is never followed by a loss, so check the weights it wrote
-    bad = [k for k, t in params.trainable().items() if not np.isfinite(t.data).all()]
+    bad = [k for k, t in params.items() if not np.isfinite(t.data).all()]
     if bad:
         raise DataError(f"non-finite parameters {bad} after the last update")
     return params, history

@@ -58,7 +58,7 @@ def test_gradient_correctness_full_model():
     params = build_model(cfg, seed=0).astype(np.float64)
     batch, labels = draw_kink_free_batch(params, 2, seed=0)
     err = grad_check(lambda: cross_entropy(forward(params, batch), labels),
-                     params.trainable(), eps=1e-5, num_samples=200, seed=0,
+                     dict(params.items()), eps=1e-5, num_samples=200, seed=0,
                      min_magnitude=1e-6)
     elapsed = time.perf_counter() - start
     assert err < 1e-4, f"max relative error {err}"

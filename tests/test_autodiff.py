@@ -175,7 +175,7 @@ class TestGradCheck:
         params = build_model(cfg, seed=2).astype(np.float64)
         batch, labels = draw_kink_free_batch(params, 2, seed=1)
         err = grad_check(lambda: cross_entropy(forward(params, batch), labels),
-                         params.trainable(), eps=1e-5, num_samples=250, seed=2)
+                         dict(params.items()), eps=1e-5, num_samples=250, seed=2)
         assert err < 1e-4
 
     def test_detects_wrong_gradient(self):

@@ -7,6 +7,7 @@ import pytest
 
 from hapticauth.cli import main
 from hapticauth.dataset import DatasetManifest, load_dataset
+from hapticauth.model import ModelConfig, build_model, save_checkpoint
 
 from oracles import ema_recurrence
 
@@ -207,6 +208,34 @@ class TestTrainEval:
         assert main(evaluate + ["--manifest", str(d6 / "manifest.json"),
                                 "--out", str(tmp_path / "r6")]) == 3
         assert "model task_user-u01" in capsys.readouterr().err
+
+    def test_eval_rejects_checkpoint_without_job_fields(self, dataset_dir, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        ckpt.mkdir()
+        cfg = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_classes=2, seq_len=16)
+        save_checkpoint(ckpt / "bare.ckpt", build_model(cfg, seed=0), meta={"kind": "user-id"})
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert "bare.ckpt" in err and "'model_id'" in err and "'seed'" in err
+
+    def test_eval_rejects_version_1_checkpoint(self, dataset_dir, tmp_path, capsys):
+        # a version 1 header carries input_channels and stores pos.table
+        ckpt = tmp_path / "ck"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        path = ckpt / "task_user-u01.ckpt"
+        raw = path.read_bytes()
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        header["format_version"] = 1
+        header["config"]["input_channels"] = 13
+        path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
     def test_force_retrain_drops_earlier_runs_checkpoints(self, tmp_path):
         # a 3-user run, then a 2-user run forced into the same directory:

@@ -144,6 +144,12 @@ class TestManifestAndLoading:
         assert m2.entries == entries
         assert m2.sample_rate == 250.0
 
+    @pytest.mark.parametrize("rate", ["0", "-250", "NaN", "Infinity", "\"fast\"", "null"])
+    def test_bad_sample_rate_rejected(self, rate):
+        # a zero rate would zero 12 of the 13 feature channels
+        with pytest.raises(SchemaError, match="sample_rate"):
+            DatasetManifest.from_json(f'{{"sample_rate": {rate}, "entries": []}}')
+
     def test_load_dataset_counts_match_manifest(self, tmp_path):
         rng = np.random.default_rng(2)
         traces = [make_trace(rng, n=8, user=f"u0{u}", task=t, trial=k)

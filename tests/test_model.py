@@ -1,10 +1,11 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hapticauth import (
     ModelConfig,
@@ -18,9 +19,10 @@ from hapticauth import (
     save_checkpoint,
 )
 from hapticauth import autodiff as ad
+from hapticauth import model
 from hapticauth.autodiff import Tensor, grad_check
 from hapticauth.errors import ConfigError, DataError, ShapeError
-from hapticauth.model import ROW_SUM_FLOOR, SCORE_BLOCK
+from hapticauth.model import CHECKPOINT_VERSION, ROW_SUM_FLOOR, SCORE_BLOCK, param_shapes
 
 from oracles import attention_per_head, cross_entropy_per_sample
 
@@ -48,6 +50,15 @@ def bounded_row_sums(x, wq, wk, num_heads):
     k = (x @ wk).reshape(bsz, length, num_heads, dh).transpose(0, 2, 1, 3)
     shift = np.linalg.norm(q, axis=-1)[..., None] * np.linalg.norm(k, axis=-1).max(axis=-1)[..., None, None]
     return np.exp(q @ k.transpose(0, 1, 3, 2) - shift).sum(axis=-1)
+
+
+def edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header line through edit(header)."""
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + raw[nl:])
 
 
 TINY = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=2, num_classes=3, seq_len=8)
@@ -99,10 +110,14 @@ class TestBuildModel:
         # in: 13*256+256; per layer: 4*256^2 + 2*(256*256+256) + 4*256; head: 256K+K
         for k, expected in ((7, 794887), (15, 796943)):
             params = build_model(ModelConfig(num_classes=k), seed=0)
-            assert params.num_trainable() == expected
-        # positional table is carried but not trainable
+            assert sum(t.data.size for _, t in params.items()) == expected
+
+    def test_every_tensor_learned_in_param_shapes_order(self):
         params = build_model(TINY, seed=0)
-        assert not params["pos.table"].requires_grad
+        shapes = param_shapes(TINY)
+        assert params.names() == list(shapes)
+        for name, t in params.items():
+            assert t.data.shape == shapes[name] and t.requires_grad
 
 
 class TestPositionalEncoding:
@@ -123,6 +138,13 @@ class TestPositionalEncoding:
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigError):
             positional_encoding(4, 7)
+
+    def test_computed_once_and_read_only(self):
+        pe = positional_encoding(6, 8)
+        assert positional_encoding(6, 8) is pe
+        assert pe.dtype == np.float32
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
 
 
 class TestMhsa:
@@ -208,14 +230,20 @@ class TestMhsa:
 
     # up to L 200 a score block holds 6 or more head matrices, so blocks cut
     # across samples whenever B·h is not a multiple of the block's count
+    # wq and wk stay N(0, 1), so large scores still make the shift overshoot;
+    # wv and wo at 1/sqrt(d) keep the outputs near unit size, where float32
+    # rounding stays well inside the 1e-4 tolerance
     @settings(max_examples=25, deadline=None)
     @given(bsz=st.integers(1, 3), length=st.integers(1, 200), head_dim=st.integers(1, 8),
            h=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @example(bsz=1, length=199, head_dim=7, h=3, seed=16454)
     def test_drawn_shapes_match_oracle(self, bsz, length, head_dim, h, seed):
         rng = np.random.default_rng(seed)
         d = head_dim * h
         x = Tensor(rng.normal(size=(bsz, length, d)).astype(np.float32))
-        wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
+        wq, wk = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(2))
+        wv, wo = (Tensor((rng.normal(size=(d, d)) / math.sqrt(d)).astype(np.float32))
+                  for _ in range(2))
         out = mhsa(x, wq, wk, wv, wo, h).data
         oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
@@ -314,12 +342,12 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(params, batch)
 
-    def test_timestep_duplication_without_positions(self):
-        # the positional table draws no randomness, so one seed gives both
-        # lengths the same learned weights; a zero table removes positions
+    def test_timestep_duplication_without_positions(self, monkeypatch):
+        # the weights do not depend on seq_len, so one seed gives both
+        # lengths the same model; a zero table removes positions
         short, long = (build_model(replace(TINY, seq_len=n), seed=7) for n in (5, 10))
-        for params in (short, long):
-            params["pos.table"].data[...] = 0
+        monkeypatch.setattr(model, "positional_encoding",
+                            lambda length, d_model: np.zeros((length, d_model), np.float32))
         rng = np.random.default_rng(7)
         batch = rng.normal(size=(2, 5, 13)).astype(np.float32)
         doubled = np.repeat(batch, 2, axis=1)
@@ -429,7 +457,6 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_header_shape_validation(self, tmp_path):
-        import json
         params = build_model(TINY, seed=13)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, params)
@@ -455,3 +482,34 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    def test_stores_learned_weights_only(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=16))
+        raw = path.read_bytes()
+        header = json.loads(raw[:raw.find(b"\n")])
+        assert header["format_version"] == CHECKPOINT_VERSION == 2
+        assert [n for n, _ in header["tensors"]] == list(param_shapes(TINY))
+        assert "pos.table" not in {n for n, _ in header["tensors"]}
+        assert set(header["config"]) == {"d_model", "num_heads", "ffn_dim", "num_layers",
+                                         "num_classes", "seq_len", "dropout"}
+
+    def test_version_1_rejected_before_config_parse(self, tmp_path):
+        # a version 1 config carries input_channels, which no longer parses
+        def to_version_1(header):
+            header["format_version"] = 1
+            header["config"]["input_channels"] = 13
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=17))
+        edit_header(path, to_version_1)
+        with pytest.raises(DataError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_shapes_checked_against_config(self, tmp_path):
+        # header and bytes agree, but the config implies another head shape
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=18))
+        edit_header(path, lambda header: header["config"].update(num_classes=4))
+        with pytest.raises(DataError, match="head.w"):
+            load_checkpoint(path)

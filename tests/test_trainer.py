@@ -26,7 +26,7 @@ from hapticauth import (
 )
 from hapticauth.errors import ConfigError, DataError
 from hapticauth.evaluation import evaluate_experiment
-from hapticauth.model import load_checkpoint, save_checkpoint
+from hapticauth.model import save_checkpoint
 from hapticauth.signal import zscore_fit
 
 from oracles import adam_array_trajectory, adam_scalar_trajectory
@@ -101,20 +101,20 @@ class TestAdamStep:
     def test_first_step_is_signed_lr(self):
         params = build_model(TINY_MODEL, seed=0)
         state = AdamState.init(params)
-        before = {k: t.data.copy() for k, t in params.trainable().items()}
-        grads = {k: np.full_like(t.data, 0.5) for k, t in params.trainable().items()}
+        before = {k: t.data.copy() for k, t in params.items()}
+        grads = {k: np.full_like(t.data, 0.5) for k, t in params.items()}
         adam_step(params, grads, state, lr=1e-3)
-        for k, t in params.trainable().items():
+        for k, t in params.items():
             np.testing.assert_allclose(before[k] - t.data, 1e-3, rtol=1e-4)
         assert state.step == 1
 
     def test_zero_gradient_fresh_state_is_noop(self):
         params = build_model(TINY_MODEL, seed=1)
         state = AdamState.init(params)
-        before = {k: t.data.copy() for k, t in params.trainable().items()}
-        grads = {k: np.zeros_like(t.data) for k, t in params.trainable().items()}
+        before = {k: t.data.copy() for k, t in params.items()}
+        grads = {k: np.zeros_like(t.data) for k, t in params.items()}
         adam_step(params, grads, state, lr=1e-3)
-        for k, t in params.trainable().items():
+        for k, t in params.items():
             np.testing.assert_array_equal(before[k], t.data)
 
     def test_absent_gradients_are_noop_for_any_state(self):
@@ -123,9 +123,9 @@ class TestAdamStep:
         rng = np.random.default_rng(0)
         state.m = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in state.m.items()}
         state.v = {k: np.abs(rng.normal(size=v.shape)).astype(np.float32) for k, v in state.v.items()}
-        before = {k: t.data.copy() for k, t in params.trainable().items()}
+        before = {k: t.data.copy() for k, t in params.items()}
         adam_step(params, {}, state, lr=1e-3)
-        for k, t in params.trainable().items():
+        for k, t in params.items():
             np.testing.assert_array_equal(before[k], t.data)
 
     def test_three_step_fixed_gradients_match_oracle(self):
@@ -146,13 +146,13 @@ class TestAdamStep:
         params = build_model(ModelConfig(d_model=64, num_heads=4, ffn_dim=64, num_classes=7),
                              seed=3)
         state = AdamState.init(params)
-        before = {k: t.data.copy() for k, t in params.trainable().items()}
+        before = {k: t.data.copy() for k, t in params.items()}
         rng = np.random.default_rng(3)
         grads = [{k: rng.normal(scale=10.0 ** rng.integers(-6, 1), size=w.shape).astype(np.float32)
                   for k, w in before.items()} for _ in range(30)]
         for step_grads in grads:
             adam_step(params, step_grads, state, lr=1e-3)
-        for k, t in params.trainable().items():
+        for k, t in params.items():
             expected = adam_array_trajectory(before[k], [g[k] for g in grads], 1e-3)
             np.testing.assert_array_equal(t.data, expected)
 
@@ -378,7 +378,7 @@ class TestPlanner:
            spare=st.integers(0, 2), seed=st.integers(0, 10_000))
     def test_splits_disjoint_balanced_and_rebuilt_from_checkpoint(
             self, tmp_path_factory, kind, users, tasks, n_train, n_test, spare, seed):
-        from hapticauth.cli import _plan_from_meta, _save_trained
+        from hapticauth.cli import _load_trained, _save_trained
 
         ds = synth_dataset(SynthConfig(num_users=users, tasks=("a", "b", "c")[:tasks],
                                        trials_per_task=n_train + n_test + spare,
@@ -400,8 +400,7 @@ class TestPlanner:
         out = tmp_path_factory.mktemp("plan")
         for job, tm in zip(jobs, run_jobs(jobs)):
             _save_trained(out, tm)
-            params, meta, _ = load_checkpoint(out / f"{job.model_id}.ckpt")
-            rebuilt = _plan_from_meta(ds, meta, params.config)
+            rebuilt = _load_trained(ds, out / f"{job.model_id}.ckpt").job
             for got, want in ((rebuilt.train_traces, job.train_traces),
                               (rebuilt.test_traces, job.test_traces)):
                 assert [tr.key for tr in got] == [tr.key for tr in want]
