@@ -8,7 +8,8 @@ additively across fan-out.
 
 The model's layers and loss are fused ops with hand-written backwards in
 ``model.py``; the generic ops here are only those something calls: ``mul``
-(dropout), ``mean`` (pooling over time) and ``tsum`` (scalars for checks).
+and ``tsum`` (the gradient check's quadratic self-test and injected fault)
+and ``mean`` (pooling over time).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,10 @@ from .trainer import (
 
 GRADCHECK_THRESHOLD = 1e-4
 QUADRATIC_THRESHOLD = 1e-9
+GRADCHECK_EPS = 1e-5
+# coordinates with a smaller |analytic gradient| sit below the
+# finite-difference rounding floor, so they are not checked
+GRADCHECK_MIN_GRAD = 1e-6
 
 
 def _default_out() -> str | None:
@@ -106,7 +111,7 @@ def cmd_synth(args) -> int:
         duration_range=(args.duration_min, args.duration_max),
     )
     dataset = synth_dataset(cfg)
-    save_dataset(dataset, out, sample_rate=cfg.sample_rate)
+    save_dataset(dataset, out)
     print(f"wrote {len(dataset)} traces ({args.users} users x {args.tasks} tasks "
           f"x {args.trials} trials) to {out}")
     return 0
@@ -124,8 +129,7 @@ def cmd_filter(args) -> int:
     if len(raw) == 0:
         raise DataError("manifest has no raw-variant entries to filter")
     out = _prepare_outdir(args.out, args.force)
-    save_dataset(TraceDataset(filter_trace(tr, args.alpha) for tr in raw), out,
-                 sample_rate=manifest.sample_rate)
+    save_dataset(TraceDataset(filter_trace(tr, args.alpha) for tr in raw), out)
     print(f"filtered {len(raw)} traces (alpha={args.alpha}) into {out}")
     return 0
 
@@ -140,7 +144,6 @@ def _model_template(args, kind: str) -> ModelConfig:
         ffn_dim=args.ffn_dim,
         num_layers=args.layers,
         seq_len=seq_len,
-        dropout=args.dropout,
     )
     if not cfg.paper_standard:
         print(f"note: seq_len={seq_len} is non-standard (paper runs use 64 or 512)",
@@ -168,12 +171,7 @@ def _save_trained(out: Path, tm: TrainedModel) -> None:
         "group": job.group,
         "class_labels": list(job.class_labels),
         "variant": job.train_traces[0].variant,
-        "seed": job.train_cfg.seed,
-        "normalize": job.train_cfg.normalize,
-        "train_per_class": job.train_cfg.train_per_class,
-        "test_per_class": job.train_cfg.test_per_class,
-        "train_size": len(job.train_traces),
-        "test_size": len(job.test_traces),
+        "train_cfg": asdict(job.train_cfg),
         "split_digest": job.split_digest,
     }
     extras = {}
@@ -213,8 +211,7 @@ def cmd_train_experiment(args) -> int:
 # --- eval-experiment -----------------------------------------------------
 
 # the meta fields that _save_trained writes and _load_trained plans from
-JOB_FIELDS = ("model_id", "kind", "group", "class_labels", "variant", "seed", "normalize",
-              "train_per_class", "test_per_class")
+JOB_FIELDS = ("model_id", "kind", "group", "class_labels", "variant", "train_cfg")
 
 
 def _load_trained(dataset, path: Path) -> TrainedModel:
@@ -227,14 +224,15 @@ def _load_trained(dataset, path: Path) -> TrainedModel:
     if "split_digest" not in meta:
         raise DataError(f"model {meta['model_id']}: checkpoint has no split digest, "
                         f"so its test split cannot be verified")
+    try:
+        train_cfg = TrainConfig.from_dict(meta["train_cfg"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} has an invalid train_cfg: {exc}") from None
     stats = None
-    if meta["normalize"]:
+    if train_cfg.normalize:
         if "norm.mean" not in extras or "norm.std" not in extras:
             raise DataError(f"checkpoint {path} marked normalized but has no stats tensors")
         stats = NormStats(mean=extras["norm.mean"], std=extras["norm.std"])
-    train_cfg = TrainConfig(seed=int(meta["seed"]), normalize=meta["normalize"],
-                            train_per_class=meta["train_per_class"],
-                            test_per_class=meta["test_per_class"])
     job = plan_job(dataset.subset(variant=meta["variant"]), meta["kind"], meta["group"],
                    meta["class_labels"], train_cfg, params.config)
     if job.split_digest != meta["split_digest"]:
@@ -266,7 +264,7 @@ def cmd_eval_experiment(args) -> int:
     out = _prepare_outdir(args.out, args.force)
 
     exp = evaluate_experiment([_load_trained(dataset, p) for p in paths])
-    write_experiment_files(exp, out, svg=not args.no_svg)
+    write_experiment_files(exp, out)
     for r in exp.reports:
         print(f"{r.model_id}: accuracy={r.accuracy:.4f}")
     print(f"mean accuracy {exp.mean_accuracy:.4f}; reports in {out}")
@@ -286,7 +284,7 @@ def cmd_sweep(args) -> int:
     dataset = load_dataset(manifest, Path(args.manifest).parent).subset(variant=args.variant)
     if len(dataset) == 0:
         raise DataError(f"manifest has no {args.variant!r} entries")
-    users = [u.strip() for u in args.users.split(",")] if args.users else None
+    users = [u.strip() for u in args.users.split(",") if u.strip()] if args.users else None
     out = _prepare_outfile(args.out, args.force)
     train_cfg = _train_config(args)
     template = _model_template(args, "task")
@@ -305,13 +303,13 @@ def cmd_sweep(args) -> int:
 
 # --- gradcheck --------------------------------------------------------------
 
-def _quadratic_self_test(eps: float) -> float:
+def _quadratic_self_test() -> float:
     # coordinates bounded away from 0 keep the relative error at rounding level
     rng = np.random.default_rng(7)
     x = Tensor(rng.uniform(0.5, 2.0, 32) * rng.choice([-1.0, 1.0], 32),
                requires_grad=True, dtype=np.float64)
     f = lambda: ad.tsum(ad.mul(x, x))
-    return grad_check(f, [x], eps=eps, num_samples=32, seed=1)
+    return grad_check(f, [x], eps=GRADCHECK_EPS, num_samples=32, seed=1)
 
 
 def cmd_gradcheck(args) -> int:
@@ -323,7 +321,7 @@ def cmd_gradcheck(args) -> int:
         num_classes=args.classes,
         seq_len=args.seq_len,
     )
-    quad_err = _quadratic_self_test(args.eps)
+    quad_err = _quadratic_self_test()
     print(f"quadratic self-test: max rel error {quad_err:.3e} "
           f"({'ok' if quad_err < QUADRATIC_THRESHOLD else 'FAIL'})")
 
@@ -340,11 +338,11 @@ def cmd_gradcheck(args) -> int:
             loss = ad.mul(loss, Tensor(np.float64(1 + drift), dtype=np.float64))
         return loss
 
-    err = grad_check(f, dict(params.items()), eps=args.eps, num_samples=args.samples,
-                     seed=args.seed, min_magnitude=args.min_grad)
-    ok = quad_err < QUADRATIC_THRESHOLD and err < args.threshold
-    print(f"model gradcheck ({args.samples} coords, eps={args.eps}): "
-          f"max rel error {err:.3e} ({'ok' if err < args.threshold else 'FAIL'})")
+    err = grad_check(f, dict(params.items()), eps=GRADCHECK_EPS, num_samples=args.samples,
+                     seed=args.seed, min_magnitude=GRADCHECK_MIN_GRAD)
+    ok = quad_err < QUADRATIC_THRESHOLD and err < GRADCHECK_THRESHOLD
+    print(f"model gradcheck ({args.samples} coords, eps={GRADCHECK_EPS}): "
+          f"max rel error {err:.3e} ({'ok' if err < GRADCHECK_THRESHOLD else 'FAIL'})")
     return 0 if ok else 1
 
 
@@ -364,7 +362,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--seq-len", type=int, default=None,
                    help="resample length (default: 512 for user-id, 64 for task)")
-    p.add_argument("--dropout", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=_default_out())
     p.add_argument("--models", default=None,
                    help="comma-separated model ids (default: all in the directory)")
-    p.add_argument("--no-svg", action="store_true")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_eval_experiment)
 
@@ -436,11 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=int, default=8)
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--threshold", type=float, default=GRADCHECK_THRESHOLD)
-    p.add_argument("--min-grad", type=float, default=1e-6,
-                   help="check only coordinates with |analytic gradient| above this; "
-                        "smaller ones sit below the finite-difference rounding floor")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt the loss so verification must fail (negative self-test)")

@@ -69,6 +69,8 @@ class ForceTrace:
             raise DataError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.trial_index < 0:
             raise DataError(f"trial_index must be >= 0, got {self.trial_index}")
+        if not 0 < self.sample_rate < math.inf:  # a manifest takes its rate from its traces
+            raise DataError(f"sample_rate must be finite and positive, got {self.sample_rate!r}")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -314,9 +316,13 @@ def load_dataset(manifest: DatasetManifest, base_dir: Path | str) -> TraceDatase
     return TraceDataset(traces)
 
 
-def save_dataset(dataset: TraceDataset, out_dir: Path | str,
-                 sample_rate: float = DEFAULT_SAMPLE_RATE) -> DatasetManifest:
-    """Write one CSV per trace, then manifest.json, into out_dir, each file atomically."""
+def save_dataset(dataset: TraceDataset, out_dir: Path | str) -> DatasetManifest:
+    """Write one CSV per trace, then manifest.json, into out_dir, each file
+    atomically.  The manifest's sample rate is its traces' one rate."""
+    rates = sorted({tr.sample_rate for tr in dataset})
+    if len(rates) > 1:
+        raise DataError(f"dataset mixes sample rates {rates}; a manifest holds one")
+    rate = rates[0] if rates else DEFAULT_SAMPLE_RATE
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -326,7 +332,7 @@ def save_dataset(dataset: TraceDataset, out_dir: Path | str,
             fh.write(write_trace_csv(tr))
         entries.append(ManifestEntry(path=name, user=tr.user_id, task=tr.task_id,
                                      trial=tr.trial_index, variant=tr.variant))
-    manifest = DatasetManifest(entries=entries, sample_rate=sample_rate)
+    manifest = DatasetManifest(entries=entries, sample_rate=rate)
     manifest.save(out / "manifest.json")  # last, so it never lists a partial file
     return manifest
 
@@ -353,7 +359,6 @@ class SynthConfig:
     tremor_amp_range: tuple[float, float] = (0.05, 0.6)     # N
     speed_scale_range: tuple[float, float] = (0.7, 1.4)     # dimensionless stroke speed
     noise_std_range: tuple[float, float] = (0.01, 0.08)     # N, sensor white noise
-    sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def validate(self) -> None:
         if self.num_users < 2:
@@ -364,8 +369,6 @@ class SynthConfig:
             raise ConfigError("tasks list is empty")
         if len(set(self.tasks)) != len(self.tasks):
             raise ConfigError("task labels must be unique")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
         for name in ("duration_range", "press_force_range", "press_variance_range",
                      "tremor_freq_range", "tremor_amp_range", "speed_scale_range",
                      "noise_std_range"):
@@ -447,7 +450,7 @@ def _draw_user_params(cfg: SynthConfig) -> dict[str, np.ndarray]:
 def _synth_trace(cfg: SynthConfig, template: _StrokeTemplate, params: dict[str, float],
                  user_id: str, task_id: str, trial_index: int,
                  rng: np.random.Generator) -> ForceTrace:
-    rate = cfg.sample_rate
+    rate = DEFAULT_SAMPLE_RATE
     duration = rng.uniform(*cfg.duration_range)
     n = max(4, int(round(duration * rate)))
     t = np.arange(n, dtype=np.float64) / rate

@@ -231,17 +231,15 @@ def matrix_svg(report: EvalReport, cell: int = 48) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_report_files(report: EvalReport, out_dir: Path | str, svg: bool = True) -> list[Path]:
+def write_report_files(report: EvalReport, out_dir: Path | str) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = [
+    return [
         atomic_write_text(out / f"{report.model_id}.json",
                           json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
         atomic_write_text(out / f"{report.model_id}.csv", matrix_csv(report)),
+        atomic_write_text(out / f"{report.model_id}.svg", matrix_svg(report)),
     ]
-    if svg:
-        written.append(atomic_write_text(out / f"{report.model_id}.svg", matrix_svg(report)))
-    return written
 
 
 def _listed_report_files(out: Path) -> set[Path]:
@@ -257,8 +255,7 @@ def _listed_report_files(out: Path) -> set[Path]:
             for ext in (".json", ".csv", ".svg")}
 
 
-def write_experiment_files(exp: ExperimentReport, out_dir: Path | str,
-                           svg: bool = True) -> list[Path]:
+def write_experiment_files(exp: ExperimentReport, out_dir: Path | str) -> list[Path]:
     """Per-model report files plus aggregate.json and aggregate.csv.  A
     directory holds one experiment's reports: the per-model files that an
     earlier aggregate.json there lists and this call does not rewrite are
@@ -268,7 +265,7 @@ def write_experiment_files(exp: ExperimentReport, out_dir: Path | str,
     earlier = _listed_report_files(out)
     written = []
     for report in exp.reports:
-        written.extend(write_report_files(report, out, svg=svg))
+        written.extend(write_report_files(report, out))
     written.append(atomic_write_text(out / "aggregate.json",
                                      json.dumps(exp.to_dict(), indent=2, sort_keys=True) + "\n"))
     metric = "mean_precision" if exp.kind == "user-id" else "accuracy"

@@ -4,17 +4,18 @@ Post-norm encoder layers (LayerNorm(x + Sublayer(x))), fixed sinusoidal
 positional encodings, mean-pooling over time, and a linear head.  Each layer
 is a fused op with a hand-written backward and records one graph node:
 linear (in-projection and head), mhsa, ffn and add_layer_norm, so a step
-without dropout records 4 + 4 * num_layers nodes with the loss.  A model is
-its learned weights: param_shapes names each tensor once, in the order that
-build_model draws, the optimizer walks and checkpoints store them.  The
-positional table is computed from the config, never stored.
+records 4 + 4 * num_layers nodes with the loss.  A model is its learned
+weights: param_shapes names each tensor once, in the order that build_model
+draws, the optimizer walks and checkpoints store them.  The positional table
+is computed from the config, never stored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
@@ -27,7 +28,7 @@ from .dataset import atomic_write
 from .errors import ConfigError, DataError, ShapeError
 from .features import NUM_FEATURES
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 PAPER_SEQ_LENS = (64, 512)
 # elements in one (heads, L, L) attention score block: 1 MB of float32, so a
 # block stays in a 2 MB per-core L2 cache
@@ -47,25 +48,18 @@ class ModelConfig:
     num_layers: int = 2
     num_classes: int = 2
     seq_len: int = 64
-    dropout: float = 0.0
 
     def __post_init__(self):
-        if self.d_model < 1 or self.num_heads < 1 or self.ffn_dim < 1:
-            raise ConfigError(f"model dims must be positive: {self}")
+        for f in fields(self):
+            value, low = getattr(self, f.name), 2 if f.name == "num_classes" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{f.name} must be an integer >= {low}, got {value!r}")
         if self.d_model % self.num_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by num_heads ({self.num_heads})"
             )
         if self.d_model % 2 != 0:
             raise ConfigError(f"d_model must be even for sinusoidal encodings, got {self.d_model}")
-        if self.num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.seq_len < 1:
-            raise ConfigError(f"seq_len must be positive, got {self.seq_len}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def head_dim(self) -> int:
@@ -80,6 +74,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelConfig":
+        """The config of a to_dict document; every field must be present."""
+        absent = {f.name for f in fields(cls)} - set(doc)
+        if absent:
+            raise ConfigError(f"model config lacks {sorted(absent)}")
         return cls(**doc)
 
 
@@ -362,15 +360,7 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make(out_data, (x, y, gamma, beta), backward_fn)
 
 
-def _dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    if p <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / x.data.dtype.type(1.0 - p)
-    return ad.mul(x, Tensor(keep, dtype=x.data.dtype))
-
-
 def forward(params: ModelParams, batch: np.ndarray, *,
-            dropout_rng: np.random.Generator | None = None,
             ffn_preacts: list[np.ndarray] | None = None) -> Tensor:
     """Run the encoder classifier; returns (B, num_classes) logits.
 
@@ -393,11 +383,9 @@ def forward(params: ModelParams, batch: np.ndarray, *,
         p = f"layers.{i}"
         attn_out = mhsa(x, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"],
                         params[f"{p}.attn.wv"], params[f"{p}.attn.wo"], cfg.num_heads)
-        attn_out = _dropout(attn_out, cfg.dropout, dropout_rng)
         x = add_layer_norm(x, attn_out, params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
         ffn_out = ffn(x, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"],
                       params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"], ffn_preacts)
-        ffn_out = _dropout(ffn_out, cfg.dropout, dropout_rng)
         x = add_layer_norm(x, ffn_out, params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
     return linear(ad.mean(x, axis=1), params["head.w"], params["head.b"])
 
@@ -494,10 +482,17 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.n
         tensor_list = [(str(n), tuple(int(x) for x in s)) for n, s in header["tensors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"invalid checkpoint header in {p}: meta is not an object")
 
     offset = nl + 1
     arrays: dict[str, np.ndarray] = {}
     for name, shape in tensor_list:
+        if name in arrays:
+            raise DataError(f"checkpoint {p} repeats tensor {name!r}")
+        if any(x < 0 for x in shape):
+            raise DataError(f"checkpoint tensor {name!r} has a negative dimension: {shape}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
         if end > len(raw):
@@ -517,4 +512,4 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.n
                 f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {expected}"
             )
     tensors = {name: Tensor(arrays.pop(name), requires_grad=True) for name in shapes}
-    return ModelParams(cfg, tensors), dict(header.get("meta", {})), arrays
+    return ModelParams(cfg, tensors), meta, arrays

@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,14 +38,23 @@ class TrainConfig:
     test_per_class: int = 20
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ConfigError("train_per_class and test_per_class must be >= 1")
+        for name in ("epochs", "batch_size", "seed", "train_per_class", "test_per_class"):
+            value, low = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.normalize, bool):
+            raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < math.inf):
+            raise ConfigError(f"learning_rate must be positive and finite, got {lr!r}")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrainConfig":
+        """The config of an asdict document; every field must be present."""
+        absent = {f.name for f in fields(cls)} - set(doc)
+        if absent:
+            raise ConfigError(f"train config lacks {sorted(absent)}")
+        return cls(**doc)
 
 
 @dataclass
@@ -78,13 +88,13 @@ class AdamState:
         )
 
 
-def cosine_lr(epoch: int, total: int, base: float, floor: float = 0.0) -> float:
-    """One cosine cycle over the run: base at epoch 0, floor at the last epoch."""
+def cosine_lr(epoch: int, total: int, base: float) -> float:
+    """One cosine cycle over the run: base at epoch 0, 0 at the last epoch."""
     if not (0 <= epoch < total):
         raise ConfigError(f"epoch {epoch} out of range [0, {total})")
     if total == 1:
         return base
-    return floor + (base - floor) * (1.0 + math.cos(math.pi * epoch / (total - 1))) / 2.0
+    return base * (1.0 + math.cos(math.pi * epoch / (total - 1))) / 2.0
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
@@ -162,7 +172,6 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
     params = build_model(model_cfg, cfg.seed)
     state = AdamState.init(params)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
-    dropout_rng = np.random.default_rng([cfg.seed, 2]) if model_cfg.dropout > 0 else None
     n = len(train_set)
     history = TrainHistory()
 
@@ -176,7 +185,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
             xb = x_all[idx]
             yb = labels[idx]
             params.zero_grads()
-            logits = forward(params, xb, dropout_rng=dropout_rng)
+            logits = forward(params, xb)
             loss = cross_entropy(logits, yb)
             if not np.isfinite(loss.data):
                 raise DataError(f"non-finite training loss {float(loss.data)} "
@@ -352,6 +361,8 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
         raise ConfigError("sweep needs at least one size")
     if any(s < 1 for s in sizes):
         raise ConfigError(f"sweep sizes must be >= 1, got {sizes}")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"sweep sizes repeat: {sizes}")
     if max(sizes) > train_cfg.train_per_class:
         raise ConfigError(
             f"max sweep size {max(sizes)} exceeds train_per_class {train_cfg.train_per_class}"

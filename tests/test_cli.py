@@ -22,6 +22,15 @@ def synth_args(out, users=2, tasks=2, trials=4, seed=5):
             "--duration-min", "0.05", "--duration-max", "0.08"]
 
 
+def edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header line through edit(header)."""
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    header = json.loads(raw[:nl])
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + raw[nl:])
+
+
 def read_tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
@@ -218,7 +227,59 @@ class TestTrainEval:
                      "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
-        assert "bare.ckpt" in err and "'model_id'" in err and "'seed'" in err
+        assert "bare.ckpt" in err and "'model_id'" in err and "'train_cfg'" in err
+
+    def test_load_trained_rebuilds_the_whole_train_cfg(self, dataset_dir, tmp_path):
+        from hapticauth import TrainConfig, plan_experiment, run_jobs
+        from hapticauth.cli import _load_trained, _save_trained
+        ds = load_dataset(DatasetManifest.load(dataset_dir / "manifest.json"), dataset_dir)
+        cfg = TrainConfig(learning_rate=3e-3, epochs=1, batch_size=5, seed=6,
+                          normalize=False, train_per_class=3, test_per_class=1)
+        tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1, seq_len=16)
+        for tm in run_jobs(plan_experiment(ds, "task", cfg, tiny)):
+            _save_trained(tmp_path, tm)
+            rebuilt = _load_trained(ds, tmp_path / f"{tm.job.model_id}.ckpt")
+            assert rebuilt.job.train_cfg == tm.job.train_cfg
+            assert rebuilt.stats is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("train_cfg"),
+        lambda meta: meta["train_cfg"].update(dropout=0.0),
+        lambda meta: meta["train_cfg"].pop("epochs"),
+        lambda meta: meta["train_cfg"].update(seed="3"),
+        lambda meta: meta["train_cfg"].update(learning_rate="fast"),
+        lambda meta: meta["train_cfg"].update(normalize="no"),
+        lambda meta: meta.update(train_cfg=[0.001, 2]),
+    ], ids=["missing", "unknown-field", "missing-field", "str-seed", "str-lr", "str-normalize",
+            "not-an-object"])
+    def test_eval_rejects_bad_train_cfg(self, edit, dataset_dir, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        edit_header(ckpt / "task_user-u02.ckpt", lambda header: edit(header["meta"]))
+        capsys.readouterr()
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert "task_user-u02.ckpt" in err and "train_cfg" in err
+
+    def test_eval_rejects_version_2_checkpoint(self, dataset_dir, tmp_path, capsys):
+        # a version 2 header carries dropout and the hand-copied train fields
+        def to_version_2(header):
+            header["format_version"] = 2
+            header["config"]["dropout"] = 0.0
+            header["meta"].update(header["meta"].pop("train_cfg"))
+
+        ckpt = tmp_path / "ck"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        edit_header(ckpt / "task_user-u01.ckpt", to_version_2)
+        capsys.readouterr()
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "unsupported checkpoint version 2" in capsys.readouterr().err
 
     def test_eval_rejects_version_1_checkpoint(self, dataset_dir, tmp_path, capsys):
         # a version 1 header carries input_channels and stores pos.table
@@ -314,6 +375,19 @@ class TestSweep:
     def test_bad_sizes_flag(self, dataset_dir, tmp_path):
         assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(tmp_path / "c.csv"), "--sizes", "2,x"] + TINY_FLAGS) == 2
+
+    def test_repeated_size_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(out), "--sizes", "2,2", "--users", "u01"] + TINY_FLAGS) == 2
+        assert "sizes repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_user_entries_dropped(self, dataset_dir, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(out), "--sizes", "2", "--users", "u01,"] + TINY_FLAGS) == 0
+        assert out.read_text().split("\n")[0] == "size,accuracy,u01"
 
 
 class TestOutputPaths:

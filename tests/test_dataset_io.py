@@ -13,6 +13,7 @@ from hapticauth import (
     ManifestEntry,
     SchemaError,
     SynthConfig,
+    TraceDataset,
     TraceOrderingError,
     load_dataset,
     parse_trace_csv,
@@ -22,6 +23,7 @@ from hapticauth import (
 )
 from hapticauth.dataset import VARIANTS, atomic_write
 from hapticauth.errors import ConfigError
+from hapticauth.features import extract_features
 
 from conftest import make_trace
 
@@ -127,6 +129,13 @@ class TestForceTraceInvariants:
             ForceTrace(timestamps=np.float32([0.0]), forces=np.float32([[0, 0, 0]]),
                        user_id="u", task_id="a", trial_index=0, variant="smoothed")
 
+    @pytest.mark.parametrize("rate", [0.0, -250.0, float("nan"), float("inf")])
+    def test_rejects_bad_sample_rate(self, rate):
+        # save_dataset would write it into a manifest that cannot be loaded
+        with pytest.raises(DataError, match="sample_rate"):
+            ForceTrace(timestamps=np.float32([0.0]), forces=np.float32([[0, 0, 0]]),
+                       user_id="u", task_id="a", trial_index=0, sample_rate=rate)
+
 
 class TestManifestAndLoading:
     def test_duplicate_entries_rejected(self):
@@ -154,13 +163,30 @@ class TestManifestAndLoading:
         rng = np.random.default_rng(2)
         traces = [make_trace(rng, n=8, user=f"u0{u}", task=t, trial=k)
                   for u in (1, 2) for t in ("a", "b") for k in range(3)]
-        from hapticauth import TraceDataset
         manifest = save_dataset(TraceDataset(traces), tmp_path)
         assert len(manifest) == 12
         ds = load_dataset(manifest, tmp_path)
         assert len(ds) == len(manifest)
         assert ds.users == ["u01", "u02"]
         assert ds.tasks == ["a", "b"]
+
+    def test_manifest_rate_is_the_traces_rate(self, tmp_path):
+        rng = np.random.default_rng(3)
+        traces = [make_trace(rng, n=16, trial=k, rate=500.0) for k in range(2)]
+        save_dataset(TraceDataset(traces), tmp_path)
+        manifest = DatasetManifest.load(tmp_path / "manifest.json")
+        assert manifest.sample_rate == 500.0
+        for before, after in zip(traces, load_dataset(manifest, tmp_path)):
+            assert after.sample_rate == 500.0
+            np.testing.assert_array_equal(extract_features(after.forces, after.sample_rate),
+                                          extract_features(before.forces, before.sample_rate))
+
+    def test_mixed_rates_rejected_before_writing(self, tmp_path):
+        rng = np.random.default_rng(4)
+        traces = [make_trace(rng, trial=0, rate=250.0), make_trace(rng, trial=1, rate=500.0)]
+        with pytest.raises(DataError, match="sample rates"):
+            save_dataset(TraceDataset(traces), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_manifest(self, tmp_path):
         ds = load_dataset(DatasetManifest(entries=[]), tmp_path)
@@ -279,11 +305,12 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["report.json"]
 
     def test_failed_save_dataset_keeps_earlier_manifest(self, tmp_path, monkeypatch):
-        def corpus(seed):
-            return synth_dataset(SynthConfig(num_users=2, trials_per_task=1, seed=seed,
-                                             duration_range=(0.02, 0.03)))
+        def corpus(seed, rate):
+            rng = np.random.default_rng(seed)
+            return TraceDataset(make_trace(rng, n=6, user=user, task=task, rate=rate)
+                                for user in ("u01", "u02") for task in "abcdefg")
 
-        save_dataset(corpus(1), tmp_path)
+        save_dataset(corpus(1, 250.0), tmp_path)
         earlier = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
         move, moved = os.replace, []
 
@@ -297,7 +324,7 @@ class TestAtomicWrite:
         # place; the new manifest would differ from the earlier one in its rate
         monkeypatch.setattr(os, "replace", fail_on_third)
         with pytest.raises(OSError, match="disk full"):
-            save_dataset(corpus(2), tmp_path, sample_rate=500.0)
+            save_dataset(corpus(2, 500.0), tmp_path)
         monkeypatch.undo()
         assert moved[2].endswith(".csv")
         assert (tmp_path / "manifest.json").read_bytes() == earlier["manifest.json"]

@@ -6,6 +6,7 @@ or renamed export would otherwise break them silently.  Each source is
 parsed, not executed.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -115,3 +116,19 @@ def test_module_attributes_exist(label, source):
     missing = sorted({f"{mod}.{attr}" for mod, attr in _module_attributes(source)
                       if not _exists(mod, attr)})
     assert not missing, f"{label} reads attributes that do not exist: {missing}"
+
+
+def _cli_flags():
+    """Every option string that some subcommand of the CLI accepts."""
+    from hapticauth.cli import build_parser
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for p in sub.choices.values() for flag in p._option_string_actions}
+
+
+def test_readme_command_line_flags_exist():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Command line\n(.*?)^## ", text, flags=re.S | re.M).group(1)
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert "--epochs" in flags, "README's Command line section lists no training flag"
+    unknown = sorted(flags - _cli_flags())
+    assert not unknown, f"README's Command line section lists flags no subcommand accepts: {unknown}"

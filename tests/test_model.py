@@ -368,19 +368,6 @@ class TestForward:
         q /= q.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(p, q, atol=1e-6)
 
-    def test_dropout_path(self):
-        cfg = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1,
-                          num_classes=3, seq_len=8, dropout=0.5)
-        params = build_model(cfg, seed=9)
-        batch = np.random.default_rng(9).normal(size=(2, 8, 13)).astype(np.float32)
-        rng1 = np.random.default_rng(1)
-        rng2 = np.random.default_rng(1)
-        a = forward(params, batch, dropout_rng=rng1).data
-        b = forward(params, batch, dropout_rng=rng2).data
-        np.testing.assert_array_equal(a, b)  # same rng stream, same masks
-        c = forward(params, batch).data      # no rng: dropout off at eval
-        assert not np.array_equal(a, c)
-
 
 class TestCrossEntropy:
     def test_confident_correct_is_near_zero(self):
@@ -488,11 +475,11 @@ class TestCheckpoint:
         save_checkpoint(path, build_model(TINY, seed=16))
         raw = path.read_bytes()
         header = json.loads(raw[:raw.find(b"\n")])
-        assert header["format_version"] == CHECKPOINT_VERSION == 2
+        assert header["format_version"] == CHECKPOINT_VERSION == 3
         assert [n for n, _ in header["tensors"]] == list(param_shapes(TINY))
         assert "pos.table" not in {n for n, _ in header["tensors"]}
         assert set(header["config"]) == {"d_model", "num_heads", "ffn_dim", "num_layers",
-                                         "num_classes", "seq_len", "dropout"}
+                                         "num_classes", "seq_len"}
 
     def test_version_1_rejected_before_config_parse(self, tmp_path):
         # a version 1 config carries input_channels, which no longer parses
@@ -512,4 +499,65 @@ class TestCheckpoint:
         save_checkpoint(path, build_model(TINY, seed=18))
         edit_header(path, lambda header: header["config"].update(num_classes=4))
         with pytest.raises(DataError, match="head.w"):
+            load_checkpoint(path)
+
+    def test_version_2_rejected_by_number(self, tmp_path):
+        # a version 2 config carries dropout, which no longer parses
+        def to_version_2(header):
+            header["format_version"] = 2
+            header["config"]["dropout"] = 0.0
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=19))
+        edit_header(path, to_version_2)
+        with pytest.raises(DataError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path)
+
+    def test_two_negative_dimensions_rejected(self, tmp_path):
+        # (-1, -4) holds 4 values, so only the sign shows the header is wrong
+        def negate_in_proj_bias(header):
+            header["tensors"][1] = ["in_proj.b", [-1, -4]]
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=20))
+        edit_header(path, negate_in_proj_bias)
+        with pytest.raises(DataError, match="negative dimension"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # both gammas have shape (16,): the second would overwrite the first
+        def repeat_name(header):
+            names = [n for n, _ in header["tensors"]]
+            header["tensors"][names.index("layers.0.ln2.gamma")][0] = "layers.0.ln1.gamma"
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=21))
+        edit_header(path, repeat_name)
+        with pytest.raises(DataError, match="repeats tensor 'layers.0.ln1.gamma'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [[["kind", "task"]], "task", 5])
+    def test_meta_must_be_an_object(self, tmp_path, meta):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=22))
+        edit_header(path, lambda header: header.update(meta=meta))
+        with pytest.raises(DataError, match="meta is not an object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [("d_model", 16.0), ("num_layers", True)])
+    def test_config_dims_must_be_integers(self, tmp_path, field, value):
+        # 16.0 would load and fail in forward; true would load a 1-layer model
+        # and hand layer 1's weights back as extras
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=23))
+        edit_header(path, lambda header: header["config"].update({field: value}))
+        with pytest.raises(DataError, match=field):
+            load_checkpoint(path)
+
+    def test_config_field_missing_rejected(self, tmp_path):
+        # without num_heads the default 16 heads would divide d_model 16
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=24))
+        edit_header(path, lambda header: header["config"].pop("num_heads"))
+        with pytest.raises(DataError, match="num_heads"):
             load_checkpoint(path)

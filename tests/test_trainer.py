@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +78,7 @@ class TestCosineLr:
     def test_endpoints_and_midpoint(self):
         assert cosine_lr(0, 100, 1e-4) == pytest.approx(1e-4)
         assert cosine_lr(99, 100, 1e-4) == pytest.approx(0.0, abs=1e-20)
-        assert cosine_lr(49, 99, 1e-4, 0.0) == pytest.approx(5e-5)
-
-    def test_floor(self):
-        assert cosine_lr(9, 10, 1e-3, 1e-5) == pytest.approx(1e-5)
+        assert cosine_lr(49, 99, 1e-4) == pytest.approx(5e-5)
 
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -89,9 +87,9 @@ class TestCosineLr:
             cosine_lr(-1, 10, 1e-4)
 
     def test_non_increasing_and_bounded(self):
-        values = [cosine_lr(e, 50, 3e-4, 1e-6) for e in range(50)]
+        values = [cosine_lr(e, 50, 3e-4) for e in range(50)]
         assert all(a >= b for a, b in zip(values, values[1:]))
-        assert all(1e-6 <= v <= 3e-4 for v in values)
+        assert all(0 <= v <= 3e-4 for v in values)
 
     def test_single_epoch(self):
         assert cosine_lr(0, 1, 1e-4) == 1e-4
@@ -261,6 +259,23 @@ class TestTrain:
     def test_non_finite_learning_rate_rejected(self, lr):
         with pytest.raises(ConfigError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("field,value", [("epochs", 2.0), ("batch_size", True),
+                                             ("seed", "0"), ("train_per_class", None),
+                                             ("normalize", "false"), ("seed", -1),
+                                             ("learning_rate", "1e-3"), ("learning_rate", True)])
+    def test_ill_typed_or_negative_field_rejected(self, field, value):
+        # a checkpoint's train_cfg is rebuilt through this constructor
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_from_dict_needs_every_field(self):
+        cfg = TrainConfig(learning_rate=1e-3, seed=4, normalize=False)
+        assert TrainConfig.from_dict(asdict(cfg)) == cfg
+        doc = asdict(cfg)
+        del doc["epochs"]
+        with pytest.raises(ConfigError, match="epochs"):
+            TrainConfig.from_dict(doc)
 
     def test_label_gap_rejected(self):
         seqs = [fs for fs in toy_set() if fs.label == 0]
@@ -435,6 +450,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match="repeat"):
             sweep_training_size(small_synth, _fast_cfg(), sizes=(2,),
                                 model_template=TINY_MODEL, users=["u01", "u01"])
+
+    def test_repeated_size_rejected(self, small_synth):
+        with pytest.raises(ConfigError, match="sizes repeat"):
+            sweep_training_size(small_synth, _fast_cfg(), sizes=(2, 2),
+                                model_template=TINY_MODEL, users=["u01"])
 
     def test_each_point_fits_zscore_on_its_subsample(self, small_synth, monkeypatch):
         from hapticauth import trainer
