@@ -68,8 +68,10 @@ from .trainer import (
     TrainedModel,
     adam_step,
     cosine_lr,
+    load_trained,
     plan_experiment,
     run_jobs,
+    save_trained,
     split_dataset,
     sweep_training_size,
     train,

@@ -14,6 +14,7 @@ and ``mean`` (pooling over time).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,8 +142,10 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor] | dict[str, Ten
     """Compare analytic gradients of the scalar f() against central finite
     differences on a sampled subset of parameter coordinates.
 
-    Returns the max relative error |a - n| / max(|a|, |n|, 1e-8).  Run the
-    function and parameters in float64; float32 rounding drowns the signal.
+    Returns the max relative error |a - n| / max(|a|, |n|, 1e-8), or inf
+    if an analytic gradient of the checked tensors is not finite or an error
+    is NaN.  Run the function and parameters in float64; float32 rounding
+    drowns the signal.
 
     min_magnitude restricts sampling to coordinates whose analytic gradient
     is at least that large.  Central differences carry an absolute rounding
@@ -164,20 +167,15 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor] | dict[str, Ten
     backward(loss)
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
 
-    sizes = [t.data.size for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    total = int(offsets[-1])
+    offsets = np.cumsum([0] + [t.data.size for t in tensors])
+    mags = np.concatenate([np.abs(a).ravel() for a in analytic])
+    if not np.isfinite(mags).all():
+        return math.inf
+    eligible = np.flatnonzero(mags >= min_magnitude)
+    if eligible.size == 0:
+        raise ValueError(f"no coordinates with |gradient| >= {min_magnitude}")
     rng = np.random.default_rng(seed)
-    if min_magnitude > 0.0:
-        flat_mags = np.concatenate([np.abs(a).ravel() for a in analytic])
-        eligible = np.flatnonzero(flat_mags >= min_magnitude)
-        if eligible.size == 0:
-            raise ValueError(f"no coordinates with |gradient| >= {min_magnitude}")
-        n_pick = min(num_samples, eligible.size)
-        coords = rng.choice(eligible, size=n_pick, replace=False)
-    else:
-        n_pick = min(num_samples, total)
-        coords = rng.choice(total, size=n_pick, replace=False)
+    coords = rng.choice(eligible, size=min(num_samples, eligible.size), replace=False)
 
     worst = 0.0
     for flat_idx in coords:
@@ -193,5 +191,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor] | dict[str, Ten
         numeric = (f_plus - f_minus) / (2.0 * eps)
         a = float(analytic[ti].reshape(-1)[local])
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if math.isnan(rel):  # max() would drop it
+            return math.inf
         worst = max(worst, rel)
     return worst

@@ -11,10 +11,8 @@ verification of the engine).  Exit codes: 0 success, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,18 +37,16 @@ from .model import (
     cross_entropy,
     draw_kink_free_batch,
     forward,
-    load_checkpoint,
-    save_checkpoint,
 )
-from .signal import NormStats, filter_trace
+from .signal import filter_trace
 from .trainer import (
     DEFAULT_SEQ_LEN,
     DEFAULT_SWEEP_SIZES,
     TrainConfig,
-    TrainedModel,
+    load_trained,
     plan_experiment,
-    plan_job,
     run_jobs,
+    save_trained,
     sweep_training_size,
 )
 
@@ -163,30 +159,6 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _save_trained(out: Path, tm: TrainedModel) -> None:
-    job = tm.job
-    meta = {
-        "model_id": job.model_id,
-        "kind": job.kind,
-        "group": job.group,
-        "class_labels": list(job.class_labels),
-        "variant": job.train_traces[0].variant,
-        "train_cfg": asdict(job.train_cfg),
-        "split_digest": job.split_digest,
-    }
-    extras = {}
-    if tm.stats is not None:
-        extras = {"norm.mean": tm.stats.mean, "norm.std": tm.stats.std}
-    save_checkpoint(out / f"{job.model_id}.ckpt", tm.params, meta=meta, extras=extras)
-    history_doc = {
-        "model": job.model_id,
-        "config": tm.params.config.to_dict(),
-        "epochs": tm.history.to_records(),
-    }
-    atomic_write_text(out / f"{job.model_id}.history.json",
-                      json.dumps(history_doc, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_train_experiment(args) -> int:
     manifest = DatasetManifest.load(args.manifest)
     dataset = load_dataset(manifest, Path(args.manifest).parent).subset(variant=args.variant)
@@ -197,10 +169,10 @@ def cmd_train_experiment(args) -> int:
     template = _model_template(args, args.kind)
     models = run_jobs(plan_experiment(dataset, args.kind, train_cfg, template), args.workers)
     # an earlier run's models must not be evaluated alongside this run's
-    for stale in [*out.glob("*.ckpt"), *out.glob("*.history.json")]:
+    for stale in out.glob("*.ckpt"):
         stale.unlink()
     for tm in models:
-        _save_trained(out, tm)
+        save_trained(tm, out)
         final = tm.history.train_acc[-1]
         print(f"{tm.job.model_id}: train={len(tm.job.train_traces)} "
               f"test={len(tm.job.test_traces)} final_train_acc={final:.3f}")
@@ -209,37 +181,6 @@ def cmd_train_experiment(args) -> int:
 
 
 # --- eval-experiment -----------------------------------------------------
-
-# the meta fields that _save_trained writes and _load_trained plans from
-JOB_FIELDS = ("model_id", "kind", "group", "class_labels", "variant", "train_cfg")
-
-
-def _load_trained(dataset, path: Path) -> TrainedModel:
-    """A checkpoint's weights and stats with its job rebuilt from its meta;
-    a DataError unless the job's split is the one the model was trained on."""
-    params, meta, extras = load_checkpoint(path)
-    missing = [f for f in JOB_FIELDS if f not in meta]
-    if missing:
-        raise DataError(f"checkpoint {path} meta lacks job fields {missing}")
-    if "split_digest" not in meta:
-        raise DataError(f"model {meta['model_id']}: checkpoint has no split digest, "
-                        f"so its test split cannot be verified")
-    try:
-        train_cfg = TrainConfig.from_dict(meta["train_cfg"])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint {path} has an invalid train_cfg: {exc}") from None
-    stats = None
-    if train_cfg.normalize:
-        if "norm.mean" not in extras or "norm.std" not in extras:
-            raise DataError(f"checkpoint {path} marked normalized but has no stats tensors")
-        stats = NormStats(mean=extras["norm.mean"], std=extras["norm.std"])
-    job = plan_job(dataset.subset(variant=meta["variant"]), meta["kind"], meta["group"],
-                   meta["class_labels"], train_cfg, params.config)
-    if job.split_digest != meta["split_digest"]:
-        raise DataError(f"model {meta['model_id']}: this manifest splits its group "
-                        f"differently from training (split digest mismatch)")
-    return TrainedModel(job, params, stats)
-
 
 def cmd_eval_experiment(args) -> int:
     ckpt_dir = Path(args.checkpoints)
@@ -263,7 +204,7 @@ def cmd_eval_experiment(args) -> int:
     dataset = load_dataset(manifest, Path(args.manifest).parent)
     out = _prepare_outdir(args.out, args.force)
 
-    exp = evaluate_experiment([_load_trained(dataset, p) for p in paths])
+    exp = evaluate_experiment([load_trained(dataset, p) for p in paths])
     write_experiment_files(exp, out)
     for r in exp.reports:
         print(f"{r.model_id}: accuracy={r.accuracy:.4f}")

@@ -211,26 +211,28 @@ class DatasetManifest:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"manifest is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or "entries" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
             raise SchemaError("manifest must be an object with an 'entries' list")
         entries = []
         for i, raw in enumerate(doc["entries"]):
+            if not isinstance(raw, dict):
+                raise SchemaError(f"manifest entry {i} is not an object: {raw!r}")
             try:
-                entries.append(
-                    ManifestEntry(
-                        path=str(raw["path"]),
-                        user=str(raw["user"]),
-                        task=str(raw["task"]),
-                        trial=int(raw["trial"]),
-                        variant=str(raw["variant"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"manifest entry {i} invalid: {exc}") from None
-            if entries[-1].variant not in VARIANTS:
-                raise SchemaError(f"manifest entry {i}: bad variant {entries[-1].variant!r}")
+                entry = ManifestEntry(**{k: raw[k] for k in ("path", "user", "task", "trial",
+                                                             "variant")})
+            except KeyError as exc:
+                raise SchemaError(f"manifest entry {i} lacks {exc}") from None
+            strings = (entry.path, entry.user, entry.task, entry.variant)
+            if not (all(isinstance(v, str) for v in strings)
+                    and isinstance(entry.trial, int) and not isinstance(entry.trial, bool)):
+                raise SchemaError(f"manifest entry {i} needs string path, user, task and "
+                                  f"variant and an integer trial, got {raw!r}")
+            if entry.variant not in VARIANTS:
+                raise SchemaError(f"manifest entry {i}: bad variant {entry.variant!r}")
+            entries.append(entry)
         rate = doc.get("sample_rate", DEFAULT_SAMPLE_RATE)
-        if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
+        if not (isinstance(rate, (int, float)) and not isinstance(rate, bool)
+                and math.isfinite(rate) and rate > 0):
             raise SchemaError(f"manifest sample_rate must be finite and positive, got {rate!r}")
         return cls(entries=entries, sample_rate=float(rate))
 

@@ -19,15 +19,17 @@ from .model import ModelParams, forward
 if TYPE_CHECKING:
     from .trainer import TrainedModel
 
+PREDICT_BATCH = 64  # sequences per inference forward
+SVG_CELL = 48  # heatmap cell side, px
 
-def predict_batch(params: ModelParams, seqs: Sequence[FeatureSequence],
-                  batch_size: int = 64) -> np.ndarray:
+
+def predict_batch(params: ModelParams, seqs: Sequence[FeatureSequence]) -> np.ndarray:
     """Predicted class indices for a list of sequences, in input order; ties
     go to the lowest class index.  Inference records no autodiff graph."""
     preds = np.empty(len(seqs), dtype=np.int64)
     params = params.detached()
-    for start in range(0, len(seqs), batch_size):
-        chunk = seqs[start:start + batch_size]
+    for start in range(0, len(seqs), PREDICT_BATCH):
+        chunk = seqs[start:start + PREDICT_BATCH]
         x = np.stack([fs.values for fs in chunk])
         logits = forward(params, x).data
         preds[start:start + len(chunk)] = logits.argmax(axis=1)
@@ -191,9 +193,9 @@ def _heat_color(frac: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def matrix_svg(report: EvalReport, cell: int = 48) -> str:
+def matrix_svg(report: EvalReport) -> str:
     """Standalone SVG heatmap of the confusion matrix."""
-    k = len(report.class_labels)
+    k, cell = len(report.class_labels), SVG_CELL
     margin = 70
     width = margin + k * cell + 20
     height = margin + k * cell + 20

@@ -28,7 +28,7 @@ from .dataset import atomic_write
 from .errors import ConfigError, DataError, ShapeError
 from .features import NUM_FEATURES
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 PAPER_SEQ_LENS = (64, 512)
 # elements in one (heads, L, L) attention score block: 1 MB of float32, so a
 # block stays in a 2 MB per-core L2 cache
@@ -38,6 +38,8 @@ SCORE_BLOCK = 2 ** 18
 # of float32's ~87 of exp range
 ROW_SUM_FLOOR = 2.0 ** -40
 LAYER_NORM_EPS = 1e-5
+# draw_kink_free_batch's least |FFN pre-activation|, and its number of draws
+KINK_MARGIN, KINK_TRIES = 2e-4, 500
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._tensors.items())
@@ -390,21 +389,20 @@ def forward(params: ModelParams, batch: np.ndarray, *,
     return linear(ad.mean(x, axis=1), params["head.w"], params["head.b"])
 
 
-def draw_kink_free_batch(params: ModelParams, batch_size: int, seed: int = 0,
-                         margin: float = 2e-4, max_tries: int = 500
+def draw_kink_free_batch(params: ModelParams, batch_size: int, seed: int = 0
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Random batch + labels whose FFN pre-activations all stay at least
-    `margin` away from zero, so central differences never cross a ReLU kink."""
+    """Random batch + labels whose FFN pre-activations all stay more than
+    KINK_MARGIN away from zero, so central differences never cross a ReLU kink."""
     cfg = params.config
-    for attempt in range(max_tries):
+    for attempt in range(KINK_TRIES):
         rng = np.random.default_rng([seed, attempt])
         batch = rng.standard_normal((batch_size, cfg.seq_len, NUM_FEATURES))
         labels = rng.integers(0, cfg.num_classes, size=batch_size)
         preacts: list[np.ndarray] = []
         forward(params, batch.astype(params["in_proj.w"].data.dtype), ffn_preacts=preacts)
-        if min(np.abs(p).min() for p in preacts) > margin:
+        if min(np.abs(p).min() for p in preacts) > KINK_MARGIN:
             return batch, labels
-    raise DataError(f"no kink-free batch found in {max_tries} tries (margin {margin})")
+    raise DataError(f"no kink-free batch found in {KINK_TRIES} tries (margin {KINK_MARGIN})")
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -440,28 +438,30 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 def save_checkpoint(path: Path | str, params: ModelParams,
                     meta: dict | None = None,
                     extras: dict[str, np.ndarray] | None = None) -> None:
-    """JSON header line (version, config, tensor names/shapes, meta) followed
-    by each tensor's raw little-endian float32 values in header order."""
-    extras = extras or {}
-    names = params.names() + sorted(extras)
-    arrays = {name: params[name].data for name in params.names()}
-    arrays.update({k: np.asarray(v, dtype=np.float32) for k, v in extras.items()})
+    """JSON header line (version, config, the extras' names and shapes, meta)
+    followed by raw little-endian float32 values: the learned tensors in
+    param_shapes order, then the extras in header order."""
+    shapes = param_shapes(params.config)
+    unlike = [name for name, shape in shapes.items() if params[name].shape != shape]
+    if unlike:
+        raise ShapeError(f"tensors {unlike} do not have the shapes their config implies")
+    extras = {k: np.asarray(v, dtype=np.float32) for k, v in sorted((extras or {}).items())}
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
-        "tensors": [[name, list(arrays[name].shape)] for name in names],
+        "extras": [[name, list(a.shape)] for name, a in extras.items()],
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
     with atomic_write(path) as fh:
         fh.write(blob)
-        for name in names:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f4").tobytes())
+        for a in [*(params[name].data for name in shapes), *extras.values()]:
+            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; validates its version first, then every tensor
-    shape against the header and against param_shapes of the stored config."""
+    """Read a checkpoint; checks its version first, then that its body holds
+    exactly the bytes of the tensors its config and listed extras imply."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"checkpoint not found: {p}")
@@ -479,37 +479,27 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.n
         raise DataError(f"unsupported checkpoint version {version} in {p}")
     try:
         cfg = ModelConfig.from_dict(header["config"])
-        tensor_list = [(str(n), tuple(int(x) for x in s)) for n, s in header["tensors"]]
+        extras = [(str(n), tuple(int(x) for x in s)) for n, s in header["extras"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
     meta = header.get("meta", {})
     if not isinstance(meta, dict):
         raise DataError(f"invalid checkpoint header in {p}: meta is not an object")
 
-    offset = nl + 1
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in tensor_list:
-        if name in arrays:
+    layout = [*param_shapes(cfg).items(), *extras]
+    seen: set[str] = set()
+    for name, shape in layout:
+        if name in seen:
             raise DataError(f"checkpoint {p} repeats tensor {name!r}")
         if any(x < 0 for x in shape):
-            raise DataError(f"checkpoint tensor {name!r} has a negative dimension: {shape}")
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
-        if end > len(raw):
-            raise DataError(f"checkpoint {p} truncated at tensor {name!r}")
-        arrays[name] = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape).copy()
-        offset = end
-    if offset != len(raw):
-        raise DataError(f"checkpoint {p} has {len(raw) - offset} trailing bytes")
-
-    shapes = param_shapes(cfg)
-    missing = [n for n in shapes if n not in arrays]
-    if missing:
-        raise DataError(f"checkpoint {p} missing tensors: {missing}")
-    for name, expected in shapes.items():
-        if arrays[name].shape != expected:
-            raise DataError(
-                f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {expected}"
-            )
-    tensors = {name: Tensor(arrays.pop(name), requires_grad=True) for name in shapes}
+            raise DataError(f"checkpoint {p} tensor {name!r} has a negative dimension: {shape}")
+        seen.add(name)
+    sizes = [math.prod(shape) for _, shape in layout]
+    if len(raw) - nl - 1 != 4 * sum(sizes):
+        raise DataError(f"checkpoint {p} holds {len(raw) - nl - 1} tensor bytes; "
+                        f"its config and extras imply {4 * sum(sizes)}")
+    values = np.frombuffer(raw, dtype="<f4", offset=nl + 1).astype(np.float32)
+    arrays = {name: part.reshape(shape)
+              for (name, shape), part in zip(layout, np.split(values, np.cumsum(sizes)[:-1]))}
+    tensors = {name: Tensor(arrays.pop(name), requires_grad=True) for name in param_shapes(cfg)}
     return ModelParams(cfg, tensors), meta, arrays

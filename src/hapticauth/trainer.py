@@ -1,6 +1,6 @@
 """Training protocol: per-group splits, Adam with cosine annealing, the
 experiment planner shared by training, evaluation and the training-size
-sweep, and the sweep itself.
+sweep, a trained model's one checkpoint file, and the sweep itself.
 
 Every experiment is deterministic under its seed: model i of a plan derives
 its seed as base_seed + i, splits shuffle within sorted (user, task) groups,
@@ -14,7 +14,8 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .dataset import ForceTrace, TraceDataset
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_experiment
 from .features import FeatureSequence, pipeline
-from .model import ModelConfig, ModelParams, build_model, cross_entropy, forward
+from .model import (ModelConfig, ModelParams, build_model, cross_entropy, forward,
+                    load_checkpoint, save_checkpoint)
 from .signal import NormStats, zscore_apply, zscore_fit
 
 
@@ -66,12 +68,6 @@ class TrainHistory:
     def __len__(self) -> int:
         return len(self.train_loss)
 
-    def to_records(self) -> list[dict]:
-        return [
-            {"epoch": i, "train_loss": l, "train_acc": a, "lr": r}
-            for i, (l, a, r) in enumerate(zip(self.train_loss, self.train_acc, self.lr))
-        ]
-
 
 @dataclass
 class AdamState:
@@ -97,15 +93,17 @@ def cosine_lr(epoch: int, total: int, base: float) -> float:
     return base * (1.0 + math.cos(math.pi * epoch / (total - 1))) / 2.0
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float) -> None:
     """Standard bias-corrected Adam update, in place on the moment and
     parameter buffers: w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -113,15 +111,15 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         if g.shape != tensor.data.shape:
             raise ConfigError(f"gradient shape {g.shape} != parameter {name} shape {tensor.data.shape}")
         m, v = state.m[name], state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         step = m / bc1
         step *= lr
         den = v / bc2
         np.sqrt(den, out=den)
-        den += eps
+        den += ADAM_EPS
         step /= den
         tensor.data -= step
 
@@ -290,7 +288,7 @@ class TrainedModel:
     job: ModelJob
     params: ModelParams
     stats: NormStats | None
-    history: TrainHistory = field(default_factory=TrainHistory)
+    history: TrainHistory
 
 
 def run_job(job: ModelJob) -> tuple[ModelParams, NormStats | None, TrainHistory]:
@@ -318,6 +316,70 @@ def run_jobs(jobs: list[ModelJob], workers: int = 1) -> list[TrainedModel]:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(run_job, jobs))
     return [TrainedModel(job, *made) for job, made in zip(jobs, results)]
+
+
+# --- trained models on disk ----------------------------------------------------
+
+def save_trained(tm: TrainedModel, out_dir: Path | str) -> Path:
+    """Write out_dir/<model_id>.ckpt: the weights, the z-score stats as
+    extras, and in the meta what load_trained re-plans the job from, its
+    split digest and the training history."""
+    job = tm.job
+    meta = {
+        "kind": job.kind,
+        "group": job.group,
+        "class_labels": list(job.class_labels),
+        "variant": job.train_traces[0].variant,
+        "train_cfg": asdict(job.train_cfg),
+        "split_digest": job.split_digest,
+        "history": asdict(tm.history),
+    }
+    extras = {} if tm.stats is None else {"norm.mean": tm.stats.mean, "norm.std": tm.stats.std}
+    path = Path(out_dir) / f"{job.model_id}.ckpt"
+    save_checkpoint(path, tm.params, meta=meta, extras=extras)
+    return path
+
+
+def load_trained(dataset: TraceDataset, path: Path | str) -> TrainedModel:
+    """The model save_trained wrote to `path`, its job re-planned on dataset;
+    a DataError naming the file unless the meta is well typed and the job's
+    split is the one the model was trained on."""
+    params, meta, extras = load_checkpoint(path)
+    job_fields = ("kind", "group", "class_labels", "variant", "train_cfg", "history")
+    missing = [f for f in job_fields if f not in meta]
+    if missing:
+        raise DataError(f"checkpoint {path} meta lacks job fields {missing}")
+    kind, group, labels, variant, _, hist = (meta[f] for f in job_fields)
+    if not (kind in tuple(EXPERIMENT_FIELDS) and isinstance(group, str)
+            and isinstance(variant, str) and isinstance(labels, list)
+            and all(isinstance(c, str) for c in labels)
+            and len(set(labels)) == len(labels) == params.config.num_classes):
+        raise DataError(f"checkpoint {path} has invalid job meta: kind {kind!r}, group {group!r}, "
+                        f"class_labels {labels!r}, variant {variant!r}")
+    try:
+        train_cfg = TrainConfig.from_dict(meta["train_cfg"])
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} has an invalid train_cfg: {exc}") from None
+    if not (isinstance(hist, dict) and set(hist) == {f.name for f in fields(TrainHistory)}
+            and all(isinstance(col, list) and len(col) == train_cfg.epochs
+                    and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in col)
+                    for col in hist.values())):
+        raise DataError(f"checkpoint {path} has an invalid history: it must map train_loss, "
+                        f"train_acc and lr to {train_cfg.epochs} numbers each")
+    stats = None
+    if train_cfg.normalize:
+        if "norm.mean" not in extras or "norm.std" not in extras:
+            raise DataError(f"checkpoint {path} marked normalized but has no stats tensors")
+        stats = NormStats(mean=extras["norm.mean"], std=extras["norm.std"])
+    try:
+        job = plan_job(dataset.subset(variant=variant), kind, group, labels, train_cfg,
+                       params.config)
+    except DataError as exc:  # the dataset lacks the model's group, classes or trials
+        raise DataError(f"checkpoint {path}: {exc}") from None
+    if meta.get("split_digest") != job.split_digest:
+        raise DataError(f"model {job.model_id}: {path} records no split digest, or the digest "
+                        f"of another split than this manifest gives its group")
+    return TrainedModel(job, params, stats, TrainHistory(**hist))
 
 
 # --- training-size sweep -------------------------------------------------------

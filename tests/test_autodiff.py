@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -189,3 +190,32 @@ class TestGradCheck:
 
         err = grad_check(broken, [x], eps=1e-5, num_samples=10)
         assert err > 1e-2
+
+    @pytest.mark.parametrize("min_magnitude", [0.0, 1e-6])
+    @pytest.mark.parametrize("nan_share", [1.0, 0.5])
+    def test_nan_gradient_is_an_infinite_error(self, min_magnitude, nan_share):
+        # max(worst, nan) keeps worst, and |nan| >= floor is never sampled
+        x = Tensor(np.linspace(0.5, 1.5, 10), requires_grad=True, dtype=np.float64)
+
+        def nan_backward():
+            loss = ad.tsum(ad.mul(x, x))
+            grad = 2.0 * x.data
+            grad[:int(nan_share * x.data.size)] = np.nan
+            return ad._make(loss.data, (x,), lambda g: ad._accumulate(x, g * grad))
+
+        err = grad_check(nan_backward, [x], eps=1e-5, num_samples=10,
+                         min_magnitude=min_magnitude)
+        assert err == math.inf
+
+    def test_nan_loss_is_an_infinite_error(self):
+        # a NaN relative error, from a loss that turns NaN off the base point
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+        base = x.data.copy()
+
+        def f():
+            loss = ad.tsum(ad.mul(x, x))
+            if not np.array_equal(x.data, base):
+                loss.data = np.asarray(np.nan)
+            return loss
+
+        assert grad_check(f, [x], eps=1e-5, num_samples=2) == math.inf

@@ -104,6 +104,24 @@ class TestFilter:
         assert main(["filter", "--manifest", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(entries=5), "an 'entries' list"),
+        (lambda doc: doc.update(sample_rate=True), "sample_rate"),
+        (lambda doc: doc["entries"][0].update(trial=1.7), "manifest entry 0 needs"),
+        (lambda doc: doc["entries"][0].update(trial=True), "manifest entry 0 needs"),
+        (lambda doc: doc["entries"][0].update(path=None), "manifest entry 0 needs"),
+    ], ids=["int-entries", "bool-sample-rate", "float-trial", "bool-trial", "null-path"])
+    def test_malformed_manifest_exits_3(self, edit, message, dataset_dir, tmp_path, capsys):
+        # a coerced trial 1.7 or true would collide with trial 1; null would read a file "None"
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["filter", "--manifest", str(path), "--out", str(tmp_path / "x")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrainEval:
     def test_task_experiment_roundtrip(self, dataset_dir, tmp_path):
@@ -111,11 +129,11 @@ class TestTrainEval:
         code = main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
                      "--kind", "task", "--seed", "3", "--out", str(ckpt)] + TINY_FLAGS)
         assert code == 0
-        files = sorted(p.name for p in ckpt.glob("*.ckpt"))
+        files = sorted(p.name for p in ckpt.iterdir())
         assert files == ["task_user-u01.ckpt", "task_user-u02.ckpt"]
-        assert (ckpt / "task_user-u01.history.json").exists()
-        hist = json.loads((ckpt / "task_user-u01.history.json").read_text())
-        assert len(hist["epochs"]) == 2
+        raw = (ckpt / "task_user-u01.ckpt").read_bytes()
+        hist = json.loads(raw[:raw.find(b"\n")])["meta"]["history"]
+        assert [len(hist[k]) for k in ("train_loss", "train_acc", "lr")] == [2, 2, 2]
 
         reports = tmp_path / "reports"
         code = main(["eval-experiment", "--checkpoints", str(ckpt),
@@ -227,20 +245,45 @@ class TestTrainEval:
                      "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err
-        assert "bare.ckpt" in err and "'model_id'" in err and "'train_cfg'" in err
+        assert "bare.ckpt" in err and "'group'" in err and "'train_cfg'" in err
 
     def test_load_trained_rebuilds_the_whole_train_cfg(self, dataset_dir, tmp_path):
-        from hapticauth import TrainConfig, plan_experiment, run_jobs
-        from hapticauth.cli import _load_trained, _save_trained
+        from hapticauth import TrainConfig, load_trained, plan_experiment, run_jobs, save_trained
         ds = load_dataset(DatasetManifest.load(dataset_dir / "manifest.json"), dataset_dir)
         cfg = TrainConfig(learning_rate=3e-3, epochs=1, batch_size=5, seed=6,
                           normalize=False, train_per_class=3, test_per_class=1)
         tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1, seq_len=16)
         for tm in run_jobs(plan_experiment(ds, "task", cfg, tiny)):
-            _save_trained(tmp_path, tm)
-            rebuilt = _load_trained(ds, tmp_path / f"{tm.job.model_id}.ckpt")
+            rebuilt = load_trained(ds, save_trained(tm, tmp_path))
             assert rebuilt.job.train_cfg == tm.job.train_cfg
             assert rebuilt.stats is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update(kind="bogus"),
+        lambda meta: meta.update(class_labels=5),
+        lambda meta: meta.update(class_labels=["u01"]),
+        lambda meta: meta.update(group=["u02"]),
+        lambda meta: meta.update(group="u09"),
+        lambda meta: meta.update(variant="bogus"),
+        lambda meta: meta.pop("history"),
+        lambda meta: meta.update(history=[0.5, 0.25]),
+        lambda meta: meta["history"].update(lr="1e-3"),
+        lambda meta: meta["history"].update(train_acc=[0.5]),
+        lambda meta: meta["history"].update(epoch=[0, 1]),
+    ], ids=["bogus-kind", "int-class-labels", "too-few-class-labels", "list-group",
+            "unknown-group", "bogus-variant",
+            "no-history", "list-history", "str-history-column", "short-history-column",
+            "unknown-history-column"])
+    def test_eval_rejects_ill_typed_job_meta(self, edit, dataset_dir, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        edit_header(ckpt / "task_user-u02.ckpt", lambda header: edit(header["meta"]))
+        capsys.readouterr()
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "task_user-u02.ckpt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda meta: meta.pop("train_cfg"),
@@ -281,6 +324,57 @@ class TestTrainEval:
                      "--out", str(tmp_path / "r")]) == 3
         assert "unsupported checkpoint version 2" in capsys.readouterr().err
 
+    def test_eval_rejects_version_3_checkpoint(self, dataset_dir, tmp_path, capsys):
+        # a version 3 header lists every tensor and keeps model_id in its meta
+        def to_version_3(header):
+            header["format_version"] = 3
+            header["tensors"] = header.pop("extras")
+            header["meta"]["model_id"] = "task_user-u01"
+
+        ckpt = tmp_path / "ck"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        edit_header(ckpt / "task_user-u01.ckpt", to_version_3)
+        capsys.readouterr()
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "unsupported checkpoint version 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw, nl: raw + b"\0",
+        lambda raw, nl: raw[:-1],
+        lambda raw, nl: raw[:nl].replace(b'"d_model": 16', b'"d_model": 32') + raw[nl:],
+    ], ids=["one-byte-more", "one-byte-fewer", "config-lies-about-d_model"])
+    def test_eval_rejects_checkpoint_of_wrong_size(self, corrupt, dataset_dir, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        path = ckpt / "task_user-u01.ckpt"
+        edit_header(path, lambda header: None)  # spaced JSON, as the lie above expects
+        raw = path.read_bytes()
+        path.write_bytes(corrupt(raw, raw.find(b"\n")))
+        capsys.readouterr()
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "task_user-u01.ckpt holds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extras", [
+        [["norm.mean", [13]], ["norm.mean", [13]]],
+        [["norm.mean", [13]], ["norm.std", [-1, -13]]],
+    ], ids=["repeated-name", "negative-dimension"])
+    def test_eval_rejects_bad_extras(self, extras, dataset_dir, tmp_path, capsys):
+        ckpt = tmp_path / "ck"
+        assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        edit_header(ckpt / "task_user-u01.ckpt", lambda header: header.update(extras=extras))
+        capsys.readouterr()
+        assert main(["eval-experiment", "--checkpoints", str(ckpt),
+                     "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert "task_user-u01.ckpt" in capsys.readouterr().err
+
     def test_eval_rejects_version_1_checkpoint(self, dataset_dir, tmp_path, capsys):
         # a version 1 header carries input_channels and stores pos.table
         ckpt = tmp_path / "ck"
@@ -307,9 +401,8 @@ class TestTrainEval:
         train = ["train-experiment", "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS
         assert main(train + ["--manifest", str(d3 / "manifest.json")]) == 0
         assert main(train + ["--manifest", str(d2 / "manifest.json"), "--force"]) == 0
-        assert sorted(p.name for p in ckpt.iterdir()) == [
-            "task_user-u01.ckpt", "task_user-u01.history.json",
-            "task_user-u02.ckpt", "task_user-u02.history.json"]
+        assert sorted(p.name for p in ckpt.iterdir()) == ["task_user-u01.ckpt",
+                                                          "task_user-u02.ckpt"]
         assert main(["eval-experiment", "--checkpoints", str(ckpt),
                      "--manifest", str(d3 / "manifest.json"), "--out", str(reports)]) == 0
         agg = json.loads((reports / "aggregate.json").read_text())

@@ -153,11 +153,21 @@ class TestManifestAndLoading:
         assert m2.entries == entries
         assert m2.sample_rate == 250.0
 
-    @pytest.mark.parametrize("rate", ["0", "-250", "NaN", "Infinity", "\"fast\"", "null"])
+    @pytest.mark.parametrize("rate", ["0", "-250", "NaN", "Infinity", "\"fast\"", "null", "true"])
     def test_bad_sample_rate_rejected(self, rate):
         # a zero rate would zero 12 of the 13 feature channels
         with pytest.raises(SchemaError, match="sample_rate"):
             DatasetManifest.from_json(f'{{"sample_rate": {rate}, "entries": []}}')
+
+    @pytest.mark.parametrize("entries", [
+        '5', '[5]', '[["t.csv", "u", "a", 0, "raw"]]',
+        '[{"path": "t.csv", "user": 1, "task": "a", "trial": 0, "variant": "raw"}]',
+        '[{"path": "t.csv", "user": "u", "task": "a", "trial": "0", "variant": "raw"}]',
+        '[{"path": "t.csv", "user": "u", "task": "a", "trial": 0}]',
+    ], ids=["int", "int-entry", "list-entry", "int-user", "str-trial", "no-variant"])
+    def test_entries_must_be_objects_of_typed_fields(self, entries):
+        with pytest.raises(SchemaError, match="manifest"):
+            DatasetManifest.from_json(f'{{"sample_rate": 250, "entries": {entries}}}')
 
     def test_load_dataset_counts_match_manifest(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -132,3 +132,10 @@ def test_readme_command_line_flags_exist():
     assert "--epochs" in flags, "README's Command line section lists no training flag"
     unknown = sorted(flags - _cli_flags())
     assert not unknown, f"README's Command line section lists flags no subcommand accepts: {unknown}"
+
+
+def test_readme_checkpoint_version_is_the_library_version():
+    from hapticauth.model import CHECKPOINT_VERSION
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"^- \*\*Checkpoint\*\* — format version (\d+)", text, flags=re.M)
+    assert stated == [str(CHECKPOINT_VERSION)]

@@ -53,12 +53,13 @@ class TestPredict:
         logits = []
 
         def spy(p, x, **kwargs):
-            assert all(p[n].data is params[n].data for n in params.names())  # shared, no copy
+            assert all(p[n].data is params[n].data for n, _ in params.items())  # shared, no copy
             logits.append(model.forward(p, x, **kwargs))
             return logits[-1]
 
         monkeypatch.setattr(evaluation, "forward", spy)
-        preds = evaluation.predict_batch(params, seqs, batch_size=2)
+        monkeypatch.setattr(evaluation, "PREDICT_BATCH", 2)
+        preds = evaluation.predict_batch(params, seqs)
         assert len(logits) == 3
         assert all(t._parents == () and t._backward is None for t in logits)
         expected = model.forward(params, np.stack([fs.values for fs in seqs])).data.argmax(axis=1)

@@ -87,9 +87,9 @@ class TestBuildModel:
     def test_same_seed_bit_identical(self):
         p1 = build_model(TINY, seed=9)
         p2 = build_model(TINY, seed=9)
-        assert p1.names() == p2.names()
-        for name in p1.names():
-            np.testing.assert_array_equal(p1[name].data, p2[name].data)
+        assert [n for n, _ in p1.items()] == [n for n, _ in p2.items()]
+        for name, t in p1.items():
+            np.testing.assert_array_equal(t.data, p2[name].data)
 
     def test_different_seed_differs(self):
         p1 = build_model(TINY, seed=1)
@@ -115,7 +115,7 @@ class TestBuildModel:
     def test_every_tensor_learned_in_param_shapes_order(self):
         params = build_model(TINY, seed=0)
         shapes = param_shapes(TINY)
-        assert params.names() == list(shapes)
+        assert [n for n, _ in params.items()] == list(shapes)
         for name, t in params.items():
             assert t.data.shape == shapes[name] and t.requires_grad
 
@@ -410,8 +410,8 @@ class TestCheckpoint:
         loaded, meta2, extras2 = load_checkpoint(path)
         assert meta2 == meta
         assert loaded.config == TINY
-        for name in params.names():
-            np.testing.assert_array_equal(loaded[name].data, params[name].data)
+        for name, t in params.items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
         np.testing.assert_array_equal(extras2["norm.mean"], extras["norm.mean"])
 
     def test_save_deterministic_bytes(self, tmp_path):
@@ -446,15 +446,15 @@ class TestCheckpoint:
     def test_header_shape_validation(self, tmp_path):
         params = build_model(TINY, seed=13)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, extras={"norm.mean": np.zeros(13, dtype=np.float32)})
         raw = path.read_bytes()
         nl = raw.find(b"\n")
         header = json.loads(raw[:nl])
-        header["tensors"][0][1] = [13, 999]  # lie about a shape
+        header["extras"][0][1] = [13, 999]  # lie about a shape
         (tmp_path / "bad.ckpt").write_bytes(
             json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + raw[nl + 1:]
         )
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="bad.ckpt"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_truncated_rejected(self, tmp_path):
@@ -471,15 +471,24 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "absent.ckpt")
 
     def test_stores_learned_weights_only(self, tmp_path):
+        # the body is the learned tensors in param_shapes order, then the
+        # extras; the header lists only the extras
+        params = build_model(TINY, seed=16)
+        extras = {"norm.std": np.full(13, 2.0, dtype=np.float32),
+                  "norm.mean": np.arange(13, dtype=np.float32)}
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, build_model(TINY, seed=16))
+        save_checkpoint(path, params, extras=extras)
         raw = path.read_bytes()
-        header = json.loads(raw[:raw.find(b"\n")])
-        assert header["format_version"] == CHECKPOINT_VERSION == 3
-        assert [n for n, _ in header["tensors"]] == list(param_shapes(TINY))
-        assert "pos.table" not in {n for n, _ in header["tensors"]}
+        nl = raw.find(b"\n")
+        header = json.loads(raw[:nl])
+        assert header["format_version"] == CHECKPOINT_VERSION == 4
+        assert set(header) == {"format_version", "config", "extras", "meta"}
+        assert header["extras"] == [["norm.mean", [13]], ["norm.std", [13]]]
         assert set(header["config"]) == {"d_model", "num_heads", "ffn_dim", "num_layers",
                                          "num_classes", "seq_len"}
+        body = b"".join([*(params[n].data.astype("<f4").tobytes() for n in param_shapes(TINY)),
+                         extras["norm.mean"].tobytes(), extras["norm.std"].tobytes()])
+        assert raw[nl + 1:] == body
 
     def test_version_1_rejected_before_config_parse(self, tmp_path):
         # a version 1 config carries input_channels, which no longer parses
@@ -494,11 +503,31 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_shapes_checked_against_config(self, tmp_path):
-        # header and bytes agree, but the config implies another head shape
+        # the config implies another head shape, so another byte count
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, build_model(TINY, seed=18))
         edit_header(path, lambda header: header["config"].update(num_classes=4))
-        with pytest.raises(DataError, match="head.w"):
+        with pytest.raises(DataError, match="tensor bytes"):
+            load_checkpoint(path)
+
+    def test_save_rejects_params_unlike_their_config(self, tmp_path):
+        params = build_model(TINY, seed=26)
+        params["head.w"].data = params["head.w"].data.T.copy()
+        with pytest.raises(ShapeError, match="head.w"):
+            save_checkpoint(tmp_path / "m.ckpt", params)
+        assert not any(tmp_path.iterdir())
+
+    def test_version_3_rejected_by_number(self, tmp_path):
+        # a version 3 header lists every tensor by name and shape
+        def to_version_3(header):
+            header["format_version"] = 3
+            header["tensors"] = [[n, list(s)] for n, s in param_shapes(TINY).items()]
+            del header["extras"]
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=27))
+        edit_header(path, to_version_3)
+        with pytest.raises(DataError, match=r"unsupported checkpoint version 3 in .*m\.ckpt"):
             load_checkpoint(path)
 
     def test_version_2_rejected_by_number(self, tmp_path):
@@ -515,25 +544,36 @@ class TestCheckpoint:
 
     def test_two_negative_dimensions_rejected(self, tmp_path):
         # (-1, -4) holds 4 values, so only the sign shows the header is wrong
-        def negate_in_proj_bias(header):
-            header["tensors"][1] = ["in_proj.b", [-1, -4]]
+        def negate_extra(header):
+            header["extras"][0] = ["norm.std", [-1, -4]]
 
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, build_model(TINY, seed=20))
-        edit_header(path, negate_in_proj_bias)
+        save_checkpoint(path, build_model(TINY, seed=20),
+                        extras={"norm.std": np.ones(4, dtype=np.float32)})
+        edit_header(path, negate_extra)
         with pytest.raises(DataError, match="negative dimension"):
             load_checkpoint(path)
 
     def test_repeated_tensor_name_rejected(self, tmp_path):
-        # both gammas have shape (16,): the second would overwrite the first
+        # both extras have shape (3,): the second would overwrite the first
         def repeat_name(header):
-            names = [n for n, _ in header["tensors"]]
-            header["tensors"][names.index("layers.0.ln2.gamma")][0] = "layers.0.ln1.gamma"
+            header["extras"][1][0] = "a"
 
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, build_model(TINY, seed=21))
+        save_checkpoint(path, build_model(TINY, seed=21),
+                        extras={"a": np.zeros(3, dtype=np.float32),
+                                "b": np.ones(3, dtype=np.float32)})
         edit_header(path, repeat_name)
-        with pytest.raises(DataError, match="repeats tensor 'layers.0.ln1.gamma'"):
+        with pytest.raises(DataError, match="repeats tensor 'a'"):
+            load_checkpoint(path)
+
+    def test_extra_named_like_a_learned_tensor_rejected(self, tmp_path):
+        # head.b has shape (3,) too: the extra would replace the learned bias
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(TINY, seed=28),
+                        extras={"norm.std": np.ones(3, dtype=np.float32)})
+        edit_header(path, lambda header: header["extras"][0].__setitem__(0, "head.b"))
+        with pytest.raises(DataError, match="repeats tensor 'head.b'"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("meta", [[["kind", "task"]], "task", 5])

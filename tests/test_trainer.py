@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,10 @@ from hapticauth import (
     adam_step,
     build_model,
     cosine_lr,
+    load_trained,
     plan_experiment,
     run_jobs,
+    save_trained,
     split_dataset,
     synth_dataset,
     sweep_training_size,
@@ -27,7 +29,7 @@ from hapticauth import (
 )
 from hapticauth.errors import ConfigError, DataError
 from hapticauth.evaluation import evaluate_experiment
-from hapticauth.model import save_checkpoint
+from hapticauth.model import load_checkpoint, save_checkpoint
 from hapticauth.signal import zscore_fit
 
 from oracles import adam_array_trajectory, adam_scalar_trajectory
@@ -382,8 +384,8 @@ class TestExperimentFactories:
         for job, a, b in zip(jobs, serial, parallel):
             assert a.job is job and b.job is job
             assert a.history.train_loss == b.history.train_loss
-            for name in a.params.names():
-                np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
+            for name, t in a.params.items():
+                np.testing.assert_array_equal(t.data, b.params[name].data)
 
 
 class TestPlanner:
@@ -393,8 +395,6 @@ class TestPlanner:
            spare=st.integers(0, 2), seed=st.integers(0, 10_000))
     def test_splits_disjoint_balanced_and_rebuilt_from_checkpoint(
             self, tmp_path_factory, kind, users, tasks, n_train, n_test, spare, seed):
-        from hapticauth.cli import _load_trained, _save_trained
-
         ds = synth_dataset(SynthConfig(num_users=users, tasks=("a", "b", "c")[:tasks],
                                        trials_per_task=n_train + n_test + spare,
                                        seed=seed, duration_range=(0.04, 0.06)))
@@ -414,11 +414,44 @@ class TestPlanner:
 
         out = tmp_path_factory.mktemp("plan")
         for job, tm in zip(jobs, run_jobs(jobs)):
-            _save_trained(out, tm)
-            rebuilt = _load_trained(ds, out / f"{job.model_id}.ckpt").job
+            rebuilt = load_trained(ds, save_trained(tm, out)).job
             for got, want in ((rebuilt.train_traces, job.train_traces),
                               (rebuilt.test_traces, job.test_traces)):
                 assert [tr.key for tr in got] == [tr.key for tr in want]
+
+
+class TestTrainedModelFile:
+    @pytest.mark.parametrize("kind", ["user-id", "task"])
+    def test_round_trip(self, small_synth, tmp_path, kind):
+        models = _train(small_synth, kind, _fast_cfg())
+        for tm in models:
+            path = save_trained(tm, tmp_path)
+            assert path == tmp_path / f"{tm.job.model_id}.ckpt"
+            back = load_trained(small_synth, path)
+
+            def keys(job):
+                return [[tr.key for tr in job.train_traces], [tr.key for tr in job.test_traces]]
+
+            def bare(job):
+                return replace(job, train_traces=(), test_traces=())
+
+            assert bare(back.job) == bare(tm.job) and keys(back.job) == keys(tm.job)
+            assert back.params.config == tm.params.config
+            assert [(n, t.data.dtype, t.data.tobytes()) for n, t in back.params.items()] == \
+                [(n, t.data.dtype, t.data.tobytes()) for n, t in tm.params.items()]
+            for got, want in ((back.stats.mean, tm.stats.mean), (back.stats.std, tm.stats.std)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert back.history == tm.history and len(back.history) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(f"{tm.job.model_id}.ckpt" for tm in models)
+
+    def test_meta_names_no_model_id(self, small_synth, tmp_path):
+        # the id and file name follow from kind and group; a stored id would be a second copy
+        tm = _train(small_synth, "task", _fast_cfg())[0]
+        _, meta, _ = load_checkpoint(save_trained(tm, tmp_path))
+        assert set(meta) == {"kind", "group", "class_labels", "variant", "train_cfg",
+                             "split_digest", "history"}
+        assert meta["history"] == asdict(tm.history)
 
 
 class TestSweep:
