@@ -11,12 +11,12 @@ per-user force signatures that stand in for it.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -103,8 +103,15 @@ def parse_trace_csv(
     if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise SchemaError(f"expected header {CSV_HEADER!r}, got {got!r}")
-    rows = np.empty((len(lines) - 1, 4), dtype=np.float32)
-    for i, line in enumerate(lines[1:]):
+    body = lines[1:]
+    if not body:
+        raise EmptyTraceError("CSV contains a header but no data rows")
+    try:  # every token in one pass; on any failure the loop below raises for the first bad row
+        rows = np.fromiter(map(float, ",".join(body).split(",")), np.float64, count=4 * len(body))
+        bad = set(map(str.count, body, repeat(","))) != {3} or not np.isfinite(rows).all()
+    except ValueError:
+        bad = True
+    for i, line in enumerate(body if bad else ()):
         parts = line.split(",")
         if len(parts) != 4:
             raise SchemaError(f"row {i}: expected 4 columns, got {len(parts)}")
@@ -114,9 +121,7 @@ def parse_trace_csv(
             raise DataError(f"row {i}: non-numeric value ({exc})") from None
         if not all(math.isfinite(v) for v in vals):
             raise DataError(f"row {i}: non-finite value in {parts}")
-        rows[i] = vals
-    if len(rows) == 0:
-        raise EmptyTraceError("CSV contains a header but no data rows")
+    rows = rows.astype(np.float32).reshape(-1, 4)
     return ForceTrace(
         timestamps=rows[:, 0],
         forces=rows[:, 1:4],
@@ -132,12 +137,10 @@ def write_trace_csv(trace: ForceTrace) -> bytes:
     """Serialize a trace to CSV bytes; round-trips float32 values exactly."""
     if len(trace) == 0:  # unreachable through the constructor, kept as a guard
         raise EmptyTraceError("refusing to write an empty trace")
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for t, (x, y, z) in zip(trace.timestamps, trace.forces):
-        # str() of a float32 scalar prints the shortest digits that parse back bit-exactly
-        buf.write(f"{t},{x},{y},{z}\n")
-    return buf.getvalue().encode("utf-8")
+    # each value is repr() of the float32 widened to float64, e.g. 0.1f as
+    # 0.10000000149011612: not float32's shortest digits, but they parse back bit-exactly
+    cols = np.column_stack([trace.timestamps, trace.forces]).astype(np.float64)
+    return (CSV_HEADER + "\n" + "%r,%r,%r,%r\n" * len(cols) % tuple(cols.ravel().tolist())).encode()
 
 
 @contextmanager

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -465,40 +466,45 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict, dict[str, np.n
     p = Path(path)
     if not p.exists():
         raise DataError(f"checkpoint not found: {p}")
-    raw = p.read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise DataError(f"checkpoint {p} has no header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-        version = int(header["format_version"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
-    # an older config may not parse, so the version is checked before it
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version} in {p}")
-    try:
-        cfg = ModelConfig.from_dict(header["config"])
-        extras = [(str(n), tuple(int(x) for x in s)) for n, s in header["extras"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise DataError(f"invalid checkpoint header in {p}: meta is not an object")
+    with open(p, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise DataError(f"checkpoint {p} has no header line")
+        try:
+            header = json.loads(line.decode("utf-8"))
+            version = int(header["format_version"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
+        # an older config may not parse, so the version is checked before it
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"unsupported checkpoint version {version} in {p}")
+        try:
+            cfg = ModelConfig.from_dict(header["config"])
+            extras = [(str(n), tuple(int(x) for x in s)) for n, s in header["extras"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"invalid checkpoint header in {p}: {exc}") from None
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise DataError(f"invalid checkpoint header in {p}: meta is not an object")
 
-    layout = [*param_shapes(cfg).items(), *extras]
-    seen: set[str] = set()
-    for name, shape in layout:
-        if name in seen:
-            raise DataError(f"checkpoint {p} repeats tensor {name!r}")
-        if any(x < 0 for x in shape):
-            raise DataError(f"checkpoint {p} tensor {name!r} has a negative dimension: {shape}")
-        seen.add(name)
-    sizes = [math.prod(shape) for _, shape in layout]
-    if len(raw) - nl - 1 != 4 * sum(sizes):
-        raise DataError(f"checkpoint {p} holds {len(raw) - nl - 1} tensor bytes; "
-                        f"its config and extras imply {4 * sum(sizes)}")
-    values = np.frombuffer(raw, dtype="<f4", offset=nl + 1).astype(np.float32)
+        layout = [*param_shapes(cfg).items(), *extras]
+        seen: set[str] = set()
+        for name, shape in layout:
+            if name in seen:
+                raise DataError(f"checkpoint {p} repeats tensor {name!r}")
+            if any(x < 0 for x in shape):
+                raise DataError(f"checkpoint {p} tensor {name!r} has a negative dimension: {shape}")
+            seen.add(name)
+        sizes = [math.prod(shape) for _, shape in layout]
+        # the body is read into the one array it becomes, once its size is known to fit
+        body = os.fstat(fh.fileno()).st_size - len(line)
+        if body == 4 * sum(sizes):
+            values = np.empty(sum(sizes), dtype="<f4")
+            body = fh.readinto(values)  # short only if the file shrank meanwhile
+        if body != 4 * sum(sizes):
+            raise DataError(f"checkpoint {p} holds {body} tensor bytes; "
+                            f"its config and extras imply {4 * sum(sizes)}")
+    values = values.astype(np.float32, copy=False)
     arrays = {name: part.reshape(shape)
               for (name, shape), part in zip(layout, np.split(values, np.cumsum(sizes)[:-1]))}
     tensors = {name: Tensor(arrays.pop(name), requires_grad=True) for name in param_shapes(cfg)}

@@ -31,11 +31,13 @@ def ema_filter(values: np.ndarray, alpha: float) -> np.ndarray:
         return x.copy()
     a = np.float32(alpha)
     y = np.empty_like(x)
-    acc = x[0].copy()
-    y[0] = acc
-    for t in range(1, len(x)):
-        acc = acc + a * (x[t] - acc)
-        y[t] = acc
+    for c in range(x.shape[1]):  # float32 scalars round each op exactly as array ops do
+        acc = x[0, c]
+        col = [acc]
+        for v in x[1:, c]:
+            acc = acc + a * (v - acc)
+            col.append(acc)
+        y[:, c] = col
     return y
 
 

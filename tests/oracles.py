@@ -24,6 +24,50 @@ def ema_recurrence(values, alpha):
     return out
 
 
+CSV_COLUMNS = "timestamp,fx,fy,fz"
+
+
+class CsvRowError(Exception):
+    """The row-by-row parser's verdict on a file; `kind` names the exception
+    class the library raises for it."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+
+
+def csv_write_rows(timestamps, forces):
+    """Trace CSV bytes, one f-string per row over float32 scalars."""
+    out = CSV_COLUMNS + "\n"
+    for t, (x, y, z) in zip(np.asarray(timestamps, np.float32), np.asarray(forces, np.float32)):
+        out += f"{t},{x},{y},{z}\n"
+    return out.encode("utf-8")
+
+
+def csv_parse_rows(text):
+    """Parse trace CSV text row by row into a (T, 4) float32 array; raises
+    CsvRowError for the header, then for the first bad row in file order."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != CSV_COLUMNS:
+        got = lines[0].strip() if lines else "<empty file>"
+        raise CsvRowError("SchemaError", f"expected header {CSV_COLUMNS!r}, got {got!r}")
+    rows = np.empty((len(lines) - 1, 4), dtype=np.float32)
+    for i, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise CsvRowError("SchemaError", f"row {i}: expected 4 columns, got {len(parts)}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise CsvRowError("DataError", f"row {i}: non-numeric value ({exc})") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise CsvRowError("DataError", f"row {i}: non-finite value in {parts}")
+        rows[i] = vals
+    if len(rows) == 0:
+        raise CsvRowError("EmptyTraceError", "CSV contains a header but no data rows")
+    return rows
+
+
 def table1_features(forces, rate):
     """Force-difference norm, velocity, acceleration, jerk and their norms,
     computed row by row in float64 from the raw definitions."""

@@ -22,10 +22,11 @@ from hapticauth import (
     write_trace_csv,
 )
 from hapticauth.dataset import VARIANTS, atomic_write
-from hapticauth.errors import ConfigError
+from hapticauth.errors import ConfigError, HapticAuthError
 from hapticauth.features import extract_features
 
 from conftest import make_trace
+from oracles import CsvRowError, csv_parse_rows, csv_write_rows
 
 
 class TestParseTraceCsv:
@@ -116,6 +117,107 @@ class TestWriteTraceCsv:
         with pytest.raises(EmptyTraceError):
             ForceTrace(timestamps=np.zeros(0), forces=np.zeros((0, 3)),
                        user_id="u", task_id="a", trial_index=0)
+
+
+# float32 values whose printed forms are the writer's hard cases: signed
+# zeros, subnormals, the largest finite magnitudes and exponent notation
+EDGE_F32 = [0.0, -0.0, 1e-45, -1e-45, 1e-40, 1.1754942e-38, 1.1754944e-38, 3.4028235e38,
+            -3.4028235e38, 3.4e38, 1e-5, -2.5e-7, 1e16, 123456789.0, 0.1, 1.0]
+F32 = st.one_of(st.sampled_from([float(np.float32(v)) for v in EDGE_F32]),
+                st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+# tokens that float() may or may not accept, padded, underscored and
+# non-finite spellings among them; "3.5e38" and "-1e39" overflow float32 only
+CSV_TOKENS = st.one_of(
+    st.sampled_from(["1.5", " 2.25 ", "\t-3", "1_0", "+.5", "1.", "1e-3", "0x10", "", "abc",
+                     "nan", "NaN", "-nan", "inf", "-Infinity", "infinity", "1e999", "3.5e38",
+                     "-1e39", "1e-50", "-0.0", "١٢", "1 5", "--1", "1e", "_1", "1__0", "½", "nanx"]),
+    F32.map(repr),
+)
+
+
+def csv_outcome(parse):
+    """(exception class name, message) if `parse` raises, else the (T, 4) bits
+    of the parsed trace; the reference's rows go through ForceTrace first, as
+    the library's do, so that both meet the same trace checks."""
+    try:
+        tr = parse()
+    except (HapticAuthError, CsvRowError) as exc:
+        return getattr(exc, "kind", type(exc).__name__), str(exc)
+    if isinstance(tr, ForceTrace):
+        return np.column_stack([tr.timestamps, tr.forces]).view(np.uint32).tolist()
+    return csv_outcome(lambda: ForceTrace(timestamps=tr[:, 0], forces=tr[:, 1:], user_id="u",
+                                          task_id="a", trial_index=0))
+
+
+class TestCsvMatchesRowReference:
+    """The bulk writer and parser against the row-by-row ones in oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), stamps=st.lists(F32.map(abs), min_size=1, max_size=30, unique=True))
+    def test_writer_bytes_identical(self, data, stamps):
+        forces = data.draw(st.lists(st.tuples(F32, F32, F32), min_size=len(stamps),
+                                    max_size=len(stamps)))
+        tr = ForceTrace(timestamps=np.float32(sorted(stamps)), forces=np.float32(forces),
+                        user_id="u", task_id="a", trial_index=0)
+        assert write_trace_csv(tr) == csv_write_rows(tr.timestamps, tr.forces)
+
+    def test_writer_prints_widened_float32(self):
+        tr = ForceTrace(timestamps=np.float32([0.0, 1e-40]),
+                        forces=np.float32([[0.1, -0.0, 3.4e38]] * 2),
+                        user_id="u", task_id="a", trial_index=0)
+        assert write_trace_csv(tr).decode("utf-8").splitlines() == [
+            "timestamp,fx,fy,fz", "0.0,0.10000000149011612,-0.0,3.3999999521443642e+38",
+            "9.99994610111476e-41,0.10000000149011612,-0.0,3.3999999521443642e+38"]
+
+    @pytest.mark.parametrize("text", [
+        "timestamp,fx,fy,fz\n\n0,1,2,3\n  \n0.5,1,2,3\n",
+        "timestamp,fx,fy,fz\r\n0,1,2,3\r\n0.5,1,2,3\r\n",
+        " timestamp,fx,fy,fz \n 0 , 1,2 ,\t3\n",
+        "timestamp,fx,fy,fz\n0,1_0,2,3\n",
+        "timestamp,fx,fy,fz\n0,1,2,3\n0.5,nan,2,3\n",
+        "timestamp,fx,fy,fz\n0,inf,2,3\n",
+        "timestamp,fx,fy,fz\n0,-Infinity,2,3\n",
+        "timestamp,fx,fy,fz\n0,1,2,3\n1,1,2\n2,x,2,3\n",
+        "timestamp,fx,fy,fz\n0,1,2,3\n1,x,2,3\n2,1,2\n",
+        "timestamp,fx,fy,fz\n0,1,2,3,4\n1,nan,2,3\n",
+        "timestamp,fx,fy,fz\n0,1,2\n1,2,3,4,5\n",  # the right number of values in all
+        "timestamp,fx,fy,fz\n0,nan,2,3\n1,x,2,3\n",
+        "timestamp,fx,fy,fz\n0,1e39,2,3\n",
+        "timestamp,fx,fy,fz\n0,1,2,3\n0,1,2,3\n",
+        "timestamp,fx,fy,fz\n\n",
+        "timestamp,fx\n0,1\n",
+        "",
+    ])
+    def test_parser_matches_on_examples(self, text):
+        self._assert_same(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 8), eol=st.sampled_from(["\n", "\r\n", "\r"]),
+           header=st.sampled_from(["timestamp,fx,fy,fz"] * 3 + [" timestamp,fx,fy,fz\t", "t,fx"]))
+    def test_parser_matches_on_drawn_files(self, data, n, eol, header):
+        lines = [header]
+        for i in range(n):
+            if data.draw(st.integers(0, 3)) == 0:
+                lines.append(data.draw(st.sampled_from(["", "  ", "\t"])))
+            # most rows are well formed, with an increasing timestamp, so
+            # that a file's first bad row is often past its first row
+            width, tokens = data.draw(st.sampled_from([(4, F32.map(repr))] * 6 + [
+                (4, CSV_TOKENS), (4, CSV_TOKENS), (3, CSV_TOKENS), (5, CSV_TOKENS)]))
+            stamp = repr(i * 0.004)
+            if tokens is CSV_TOKENS:
+                stamp = data.draw(st.sampled_from([stamp, f" {i} "]) | CSV_TOKENS)
+            lines.append(",".join([stamp, *data.draw(st.lists(tokens, min_size=width - 1,
+                                                            max_size=width - 1))]))
+        self._assert_same(eol.join(lines) + data.draw(st.sampled_from(["", eol])))
+
+    @staticmethod
+    def _assert_same(text):
+        with np.errstate(over="ignore"):
+            expected = csv_outcome(lambda: csv_parse_rows(text))
+            for data in (text, text.encode("utf-8")):
+                assert csv_outcome(lambda: parse_trace_csv(data, user_id="u", task_id="a",
+                                                           trial_index=0)) == expected
 
 
 class TestForceTraceInvariants:

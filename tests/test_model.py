@@ -466,6 +466,26 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "trunc.ckpt")
 
+    def test_body_read_into_its_one_array(self, tmp_path):
+        # reading the file whole and then copying the body would hold it twice
+        cfg = ModelConfig(d_model=64, num_heads=4, ffn_dim=64, num_layers=2, num_classes=5, seq_len=8)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_model(cfg, seed=28))
+        body = path.stat().st_size - path.read_bytes().index(b"\n") - 1
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert body <= peak < 1.5 * body
+
+    @pytest.mark.parametrize("raw", [b"", b'{"format_version": 4}'], ids=["empty", "no-newline"])
+    def test_no_header_line_rejected(self, tmp_path, raw):
+        (tmp_path / "m.ckpt").write_bytes(raw)
+        with pytest.raises(DataError, match=r"m\.ckpt has no header line"):
+            load_checkpoint(tmp_path / "m.ckpt")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.ckpt")

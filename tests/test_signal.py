@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hapticauth import NormStats, ema_filter, filter_trace, resample, zscore_apply, zscore_fit
 from hapticauth.errors import ConfigError, DataError, ShapeError
@@ -35,6 +37,19 @@ class TestEmaFilter:
             x = rng.normal(0, 5, size=(n, 3)).astype(np.float32)
             alpha = float(rng.uniform(0.0005, 0.9))
             np.testing.assert_array_equal(ema_filter(x, alpha), ema_recurrence(x, alpha))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), t=st.integers(1, 40), c=st.integers(1, 5),
+           alpha=st.sampled_from([1e-46, 1e-45, 1e-38, 1e-20, 1e-7, 0.999999])
+           | st.floats(0, 1, exclude_min=True, exclude_max=True))
+    def test_bit_identical_to_recurrence_over_drawn_shapes(self, data, t, c, alpha):
+        edges = np.float32([0.0, -0.0, 1e-45, -1e-45, 1e-40, 1.1754942e-38, 3.4028235e38,
+                            -3.4028235e38, 1e30]).tolist()  # subnormal, tiny and huge
+        x = data.draw(arrays(np.float32, (t, c), elements=st.sampled_from(edges)
+                             | st.floats(width=32, allow_nan=False, allow_infinity=False)))
+        with np.errstate(over="ignore", invalid="ignore"):  # large inputs may overflow to inf and nan
+            got, want = ema_filter(x, alpha), ema_recurrence(x, alpha)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_alpha_out_of_range(self):
         x = np.zeros((3, 3), dtype=np.float32)
