@@ -31,12 +31,17 @@ from .features import NUM_FEATURES
 
 CHECKPOINT_VERSION = 4
 PAPER_SEQ_LENS = (64, 512)
-# elements in one (heads, L, L) attention score block: 1 MB of float32, so a
-# block stays in a 2 MB per-core L2 cache
+# elements in one (heads, query rows, L) attention score tile: 1 MB of
+# float32, so a tile stays in a 2 MB per-core L2 cache
 SCORE_BLOCK = 2 ** 18
+# query rows per attention score tile: at L 512 a (64, 17) @ (17, 512) score
+# GEMM writes 128 KB, and on a 2-core host with OpenBLAS 0.3.31 it runs
+# 1.5-3x faster per row than a whole head's (512, 17) @ (17, 512), on one
+# BLAS thread or two
+QUERY_TILE = 64
 # attention rows whose bounded-shift sum l falls below this are redone with
-# their exact max: it keeps 1/l <= 2^40 and costs a kept row at most ~28 nats
-# of float32's ~87 of exp range
+# their exact max: it keeps 1/l <= 2^40 and costs a kept row at most 40 of
+# the ~126 binary orders of magnitude that float32's exp2 can span
 ROW_SUM_FLOOR = 2.0 ** -40
 LAYER_NORM_EPS = 1e-5
 # draw_kink_free_batch's least |FFN pre-activation|, and its number of draws
@@ -180,22 +185,29 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     the row sums l in one GEMM, and the context is the numerator times 1/l
     (the output-side normalisation of FlashAttention, Dao et al. 2022).
 
-    There is no row-max pass either.  Row i is shifted by the Cauchy-Schwarz
-    bound m_i = |q_i| * max_j |k_j| >= max_j s_ij, which is known before the
+    The exponent is base 2: q's scale holds log2(e), so the score GEMM
+    writes scores in log2 units and exp2 gives the same e as exp would on
+    natural-log scores (FlashAttention-2, Dao 2023).  There is no row-max
+    pass either.  Row i is shifted by the Cauchy-Schwarz bound
+    m_i = |q_i| * max_j |k_j| >= max_j s_ij, which is known before the
     scores are (the unified max value of FlashDecoding++, Hong et al. 2023):
     q carries the column -m and k a column of ones, so [q | -m] @ [k | 1]^T
-    writes s - m straight out of the GEMM and exp(s - m) is at most 1 up to
+    writes s - m straight out of the GEMM and exp2(s - m) is at most 1 up to
     rounding.  Softmax ignores a per-row shift, so no gradient flows through
     m.  Underflow guard: a row whose bound overshoots so far that l falls
     below ROW_SUM_FLOOR, and every row with one key (L = 1, which must weigh
     its key exactly 1), is redone with its exact row max, and that max
     replaces its -m.
 
-    The B·h head matrices are handled in blocks of at most SCORE_BLOCK score
-    elements, each computed into one reused scratch block.  Training and
-    inference run the same forward; it keeps only [q | -m] and 1/l, and
-    backward recomputes each block's e with the same GEMM and exp (the
-    FlashAttention backward), so no (B, h, L, L) tensor is allocated."""
+    k is kept transposed, as one contiguous (B·h, dh + 1, L) [k | 1]^T, so
+    the score GEMM reads no transposed view.  The scores are computed in
+    tiles of QUERY_TILE query rows (all L rows when L is shorter) of as many
+    heads as fit SCORE_BLOCK elements, each tile into one reused scratch
+    block.  Training and inference run the same forward; it keeps only
+    [q | -m] and 1/l, and backward recomputes each tile's e with the same
+    GEMM and exp2 (the FlashAttention backward), so no (B, h, L, L) tensor
+    is allocated.  dk and dv add up over a head's tiles in tile order, so
+    no result depends on the BLAS thread count."""
     if x.data.ndim != 3:
         raise ShapeError(f"mhsa expects (B, L, d) input, got {x.shape}")
     bsz, length, d = x.shape
@@ -206,10 +218,12 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
             raise ShapeError(f"mhsa weights must be ({d}, {d}), got {w.shape}")
     head_dim = d // num_heads
     dtype = x.data.dtype
-    scale = dtype.type(1.0 / math.sqrt(head_dim))
+    scale = 1.0 / math.sqrt(head_dim)
     n = bsz * num_heads
-    per_block = max(1, min(n, SCORE_BLOCK // (length * length)))
-    blocks = [slice(i, i + per_block) for i in range(0, n, per_block)]
+    rows = min(QUERY_TILE, length)
+    per_block = max(1, min(n, SCORE_BLOCK // (rows * length)))
+    tiles = [(slice(h, h + per_block), slice(r, r + rows))
+             for h in range(0, n, per_block) for r in range(0, length, rows)]
 
     # heads go into contiguous (B·h, L, dh + 1) arrays: BLAS runs the L x L
     # products on strided (row stride d) head views several times slower
@@ -218,33 +232,36 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
             a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3)
 
     x_flat = x.data.reshape(bsz * length, d)
-    q1, k1, v1 = np.empty((3, n, length, head_dim + 1), dtype=dtype)  # [q | -m], [k | 1], [v | 1]
-    for w, out in zip((wq, wk, wv), (q1, k1, v1)):
-        heads(x_flat @ w.data, out)
-    q, k = q1[..., :head_dim], k1[..., :head_dim]
-    q *= scale  # scaling q, not the (L, L) scores, saves a pass over them
-    k1[..., head_dim] = v1[..., head_dim] = 1
-    max_k2 = np.einsum("nld,nld->nl", k, k).max(axis=1, keepdims=True)
+    q1, v1 = np.empty((2, n, length, head_dim + 1), dtype=dtype)  # [q | -m], [v | 1]
+    heads(x_flat @ wq.data, q1)
+    heads(x_flat @ wv.data, v1)
+    kt = np.empty((n, head_dim + 1, length), dtype=dtype)  # [k | 1]^T
+    kt.reshape(bsz, num_heads, head_dim + 1, length)[:, :, :head_dim] = \
+        (x_flat @ wk.data).reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 3, 1)
+    q, k_t = q1[..., :head_dim], kt[:, :head_dim]
+    q *= dtype.type(scale * math.log2(math.e))  # scaling q, not the (L, L) scores, saves a pass
+    kt[:, head_dim] = v1[..., head_dim] = 1
+    max_k2 = np.einsum("ndl,ndl->nl", k_t, k_t).max(axis=1, keepdims=True)
     q1[..., head_dim] = -np.sqrt(np.einsum("nld,nld->nl", q, q) * max_k2)
-    scratch = np.empty((per_block, length, length), dtype=dtype)
+    scratch = np.empty((per_block, rows, length), dtype=dtype)
 
-    def exp_scores(s: slice) -> np.ndarray:  # e = exp([q | -m] @ [k | 1]^T) in scratch
-        e = np.matmul(q1[s], k1[s].transpose(0, 2, 1), out=scratch[:len(q1[s])])
-        return np.exp(e, out=e)
+    def exp_scores(hs: slice, rs: slice) -> np.ndarray:  # e = exp2([q | -m] @ [k | 1]^T) in scratch
+        e = np.matmul(q1[hs, rs], kt[hs], out=scratch[:len(kt[hs]), :len(q1[0, rs])])
+        return np.exp2(e, out=e)
 
     num = np.empty_like(v1)  # [e @ v | l]
-    for s in blocks:
-        np.matmul(exp_scores(s), v1[s], out=num[s])
+    for hs, rs in tiles:
+        np.matmul(exp_scores(hs, rs), v1[hs], out=num[hs, rs])
     # underflow guard: redo these rows from their exact max, and put that max
     # in -m so that backward recomputes the same e
     redo = (num[..., head_dim] < ROW_SUM_FLOOR) | (length == 1)
     for hd in np.flatnonzero(redo.any(axis=1)):
-        rows = np.flatnonzero(redo[hd])
-        e = q[hd, rows] @ k[hd].T
+        redo_rows = np.flatnonzero(redo[hd])
+        e = q[hd, redo_rows] @ k_t[hd]
         row_max = e.max(axis=1, keepdims=True)
         e -= row_max
-        num[hd, rows] = np.exp(e, out=e) @ v1[hd]
-        q1[hd, rows, head_dim] = -row_max[:, 0]
+        num[hd, redo_rows] = np.exp2(e, out=e) @ v1[hd]
+        q1[hd, redo_rows, head_dim] = -row_max[:, 0]
     inv_l = 1 / num[..., head_dim:]
     ctx = num[..., :head_dim]
     ctx *= inv_l
@@ -261,18 +278,27 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         heads(g @ wo.data.T, a)
         a[..., head_dim] = -np.einsum("nld,nld->nl", dctx, ctx)
         a *= inv_l
+        vt = np.ascontiguousarray(v1.transpose(0, 2, 1))  # [v | 1]^T
         dqkv = np.empty((3, bsz, num_heads, length, head_dim), dtype=dtype)
         dq, dk, dv = dqkv.reshape(3, n, length, head_dim)
         ds_block = np.empty_like(scratch)
-        for s in blocks:
-            e = exp_scores(s)
-            ds = ds_block[:len(e)]
-            np.matmul(e.transpose(0, 2, 1), dctx[s], out=dv[s])  # dctx is now dctx / l
-            np.matmul(a[s], v1[s].transpose(0, 2, 1), out=ds)
+        # a later tile's dk and dv, added to its heads' in tile order
+        part = np.empty((2, per_block, length, head_dim), dtype=dtype) if rows < length else None
+        for hs, rs in tiles:
+            e = exp_scores(hs, rs)
+            ds = ds_block[:len(e), :e.shape[1]]
+            first = rs.start == 0
+            dk_t, dv_t = (dk[hs], dv[hs]) if first else part[:, :len(e)]
+            np.matmul(e.transpose(0, 2, 1), dctx[hs, rs], out=dv_t)  # dctx is now dctx / l
+            np.matmul(a[hs, rs], vt[hs], out=ds)
             ds *= e
-            np.matmul(ds, k[s], out=dq[s])
-            np.matmul(ds.transpose(0, 2, 1), q[s], out=dk[s])
-        dq *= scale
+            np.matmul(ds, k_t[hs].transpose(0, 2, 1), out=dq[hs, rs])
+            np.matmul(ds.transpose(0, 2, 1), q[hs, rs], out=dk_t)
+            if not first:
+                dk[hs] += dk_t
+                dv[hs] += dv_t
+        dq *= dtype.type(scale)
+        dk *= dtype.type(math.log(2))  # q holds log2(e), so ds^T @ q is dk / ln 2
         dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(bsz * length, 3 * d)  # [dq | dk | dv]
         dw = x_flat.T @ dqkv
         for i, w in enumerate((wq, wk, wv)):

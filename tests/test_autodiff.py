@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hapticauth import autodiff as ad
 from hapticauth.autodiff import Tensor, backward, grad_check
@@ -150,6 +151,56 @@ class TestPerOpGradients:
         (a,) = t64s(rng, (3, 4, 5))
         w = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
         self.check(lambda: ad.tsum(ad.mul(ad.mean(a, axis=1), w)), [a])
+
+
+# every fused op in float64 over drawn shapes, against central differences.
+# A checked sum of up to ~200 terms carries up to ~200 * 2^-52 / eps ~ 5e-9
+# of rounding noise, so gradients below 1e-2 are not sampled; weights in
+# [0.5, 1.5] keep each bias gradient, a sum of them, above that at every
+# drawn shape
+DRAWN = dict(eps=1e-5, num_samples=60, min_magnitude=1e-2)
+dims = st.integers(1, 6)
+
+
+def weights_out(rng, shape):
+    return Tensor(rng.uniform(0.5, 1.5, size=shape), dtype=np.float64)
+
+
+class TestDrawnShapeGradients:
+    @settings(max_examples=15, deadline=None)
+    @given(bsz=dims, length=dims, n=dims, m=dims, seed=st.integers(0, 2**16))
+    def test_linear(self, bsz, length, n, m, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = t64s(rng, (bsz, length, n), (n, m), (m,))
+        w_out = weights_out(rng, (bsz, length, m))
+        err = grad_check(lambda: ad.tsum(ad.mul(linear(x, w, b), w_out)), [x, w, b], **DRAWN)
+        assert err < 1e-6, f"max relative error {err}"
+
+    @settings(max_examples=15, deadline=None)
+    @given(bsz=dims, length=dims, d=dims, f=dims, seed=st.integers(0, 2**16))
+    def test_ffn(self, bsz, length, d, f, seed):
+        rng = np.random.default_rng(seed)
+        x, w1, b1, w2, b2 = t64s(rng, (bsz, length, d), (d, f), (f,), (f, d), (d,))
+        # a difference step of 1e-5 must not carry a pre-activation across 0
+        assume(np.abs(x.data @ w1.data + b1.data).min() > 1e-3)
+        w_out = weights_out(rng, (bsz, length, d))
+        err = grad_check(lambda: ad.tsum(ad.mul(ffn(x, w1, b1, w2, b2), w_out)),
+                         [x, w1, b1, w2, b2], **DRAWN)
+        assert err < 1e-6, f"max relative error {err}"
+
+    @settings(max_examples=15, deadline=None)
+    @given(bsz=dims, length=dims, d=st.integers(2, 12), seed=st.integers(0, 2**16))
+    def test_add_layer_norm(self, bsz, length, d, seed):
+        rng = np.random.default_rng(seed)
+        x, y, gamma, beta = t64s(rng, (bsz, length, d), (bsz, length, d), (d,), (d,))
+        # layer norm's curvature grows as 1/std^3: a near-constant row makes
+        # the differences' truncation error, not the backward, the limit
+        assume((x.data + y.data).std(axis=-1).min() > 0.1)
+        w_out = weights_out(rng, (bsz, length, d))
+        err = grad_check(lambda: ad.tsum(ad.mul(add_layer_norm(x, y, gamma, beta), w_out)),
+                         [x, y, gamma, beta], **DRAWN)
+        assert err < 1e-6, f"max relative error {err}"
+
 
 class TestGradCheck:
     def test_quadratic_below_1e9(self):

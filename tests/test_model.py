@@ -22,16 +22,21 @@ from hapticauth import autodiff as ad
 from hapticauth import model
 from hapticauth.autodiff import Tensor, grad_check
 from hapticauth.errors import ConfigError, DataError, ShapeError
-from hapticauth.model import CHECKPOINT_VERSION, ROW_SUM_FLOOR, SCORE_BLOCK, param_shapes
+from hapticauth.model import (CHECKPOINT_VERSION, QUERY_TILE, ROW_SUM_FLOOR, SCORE_BLOCK,
+                              param_shapes)
 
 from oracles import attention_per_head, cross_entropy_per_sample
 
-def huge_orthogonal_key(huge, dtype, seed=0):
-    """Attention inputs (B 2, L 6, d 8, 2 heads) where position 3's key in
-    head 0 is huge * e_0 and every query has a 0 there: the key is
+# one query tile of 64 rows, another of 64 and a remainder tile of 1
+TILED_LENGTH = 2 * QUERY_TILE + 1
+
+
+def huge_orthogonal_key(huge, dtype, length=6, seed=0):
+    """Attention inputs (B 2, L length, d 8, 2 heads) where position 3's key
+    in head 0 is huge * e_0 and every query has a 0 there: the key is
     orthogonal to all queries, but its norm sets the Cauchy-Schwarz bound."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 6, 8))
+    x = rng.normal(size=(2, length, 8))
     x[:, :, 0] = 0
     x[:, 3] = 0
     x[:, 3, 0] = huge
@@ -50,6 +55,11 @@ def bounded_row_sums(x, wq, wk, num_heads):
     k = (x @ wk).reshape(bsz, length, num_heads, dh).transpose(0, 2, 1, 3)
     shift = np.linalg.norm(q, axis=-1)[..., None] * np.linalg.norm(k, axis=-1).max(axis=-1)[..., None, None]
     return np.exp(q @ k.transpose(0, 1, 3, 2) - shift).sum(axis=-1)
+
+
+def guarded_tiles(guarded):
+    """The query tiles that hold a row marked in a (B, h, L) guarded mask."""
+    return {int(r) // QUERY_TILE for r in np.flatnonzero(guarded.any(axis=(0, 1)))}
 
 
 def edit_header(path, edit):
@@ -176,13 +186,26 @@ class TestMhsa:
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     def test_uneven_head_chunks_match_oracle(self):
-        # at L 160 a score block holds 10 head matrices: the 32 of B 2 x 16
-        # heads go in blocks of 10, 10, 10 and 2, and the second block holds
-        # heads of both samples
+        # at L 160 a score tile holds 64 query rows of 25 heads: the 32 of
+        # B 2 x 16 heads go in blocks of 25 and 7, the first holds heads of
+        # both samples, and each head's rows go in tiles of 64, 64 and 32
         rng = np.random.default_rng(4)
         d, h = 32, 16
-        assert SCORE_BLOCK // (160 * 160) == 10
+        assert QUERY_TILE == 64 and SCORE_BLOCK // (QUERY_TILE * 160) == 25
         x = Tensor(rng.normal(size=(2, 160, d)).astype(np.float32))
+        wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
+        out = mhsa(x, wq, wk, wv, wo, h).data
+        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
+
+    def test_remainder_tile_matches_oracle(self):
+        # at L 129 a tile holds 64 rows of 31 heads: the 48 of B 3 x 16 heads
+        # go in blocks of 31 and 17, both cut across samples, and each head
+        # ends in a one-row tile
+        rng = np.random.default_rng(6)
+        d, h = 32, 16
+        assert SCORE_BLOCK // (QUERY_TILE * TILED_LENGTH) == 31
+        x = Tensor(rng.normal(size=(3, TILED_LENGTH, d)).astype(np.float32))
         wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
         out = mhsa(x, wq, wk, wv, wo, h).data
         oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
@@ -192,8 +215,9 @@ class TestMhsa:
     # ~30 * 2^-52 / eps ~ 7e-9 of rounding noise: a gradient below ~1e-2
     # cannot be resolved to 1e-6 relative and is not sampled
     @pytest.mark.parametrize("bsz, length, d, h, min_magnitude", [
-        (1, 1, 8, 2, 0.0), (3, 7, 12, 3, 0.0), (2, 5, 8, 1, 0.0), (2, 160, 32, 16, 1e-2)],
-        ids=["1-1-8-2", "3-7-12-3", "2-5-8-1", "2-160-32-16"])
+        (1, 1, 8, 2, 0.0), (3, 7, 12, 3, 0.0), (2, 5, 8, 1, 0.0), (2, 160, 32, 16, 1e-2),
+        (3, TILED_LENGTH, 32, 16, 1e-2)],
+        ids=["1-1-8-2", "3-7-12-3", "2-5-8-1", "2-160-32-16", "3-129-32-16"])
     def test_gradient_matches_finite_differences(self, bsz, length, d, h, min_magnitude):
         rng = np.random.default_rng(bsz * 100 + length)
         x = Tensor(rng.normal(size=(bsz, length, d)), requires_grad=True, dtype=np.float64)
@@ -204,23 +228,29 @@ class TestMhsa:
                          eps=1e-6, num_samples=300, seed=0, min_magnitude=min_magnitude)
         assert err < 1e-6, f"max relative error {err}"
 
-    def test_underflow_guard_matches_oracle(self):
+    def test_underflow_guard_matches_oracle(self, length=6):
         # the bound overshoots head 0's true row max by hundreds of nats, so
         # without the guard its float32 row sums are 0 and the context NaN
-        x, ws = huge_orthogonal_key(1e3, np.float32)
-        assert (bounded_row_sums(x, ws[0], ws[1], 2) < ROW_SUM_FLOOR).any()
+        x, ws = huge_orthogonal_key(1e3, np.float32, length)
+        guarded = bounded_row_sums(x, ws[0], ws[1], 2) < ROW_SUM_FLOOR
+        assert guarded_tiles(guarded) == set(range(math.ceil(length / QUERY_TILE)))
         out = mhsa(Tensor(x), *(Tensor(w) for w in ws), 2).data
         assert np.isfinite(out).all()
         oracle = attention_per_head(x, *ws, 2)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
-    def test_gradient_through_underflow_guard(self):
+    def test_underflow_guard_in_every_tile_matches_oracle(self):
+        # at L 129 guarded rows fall in every query tile, the one-row tile too
+        self.test_underflow_guard_matches_oracle(TILED_LENGTH)
+
+    def test_gradient_through_underflow_guard(self, length=6):
         # the guarded rows' scores are redone with their exact max; the bound
         # still moves the other rows' rounding with the huge key's norm, so
         # coordinates whose true gradient is 0 (wk[0, 0]) read ~1e-8 of noise
         # and, as at (2, 160, 32, 16), gradients below 1e-2 are not sampled
-        x, ws = huge_orthogonal_key(60.0, np.float64)
-        assert (bounded_row_sums(x, ws[0], ws[1], 2) < ROW_SUM_FLOOR).any()
+        x, ws = huge_orthogonal_key(60.0, np.float64, length)
+        guarded = bounded_row_sums(x, ws[0], ws[1], 2) < ROW_SUM_FLOOR
+        assert guarded_tiles(guarded) == set(range(math.ceil(length / QUERY_TILE)))
         xt = Tensor(x, requires_grad=True, dtype=np.float64)
         wt = [Tensor(w, requires_grad=True, dtype=np.float64) for w in ws]
         w_out = Tensor(np.random.default_rng(9).normal(size=x.shape), dtype=np.float64)
@@ -228,8 +258,11 @@ class TestMhsa:
                          eps=1e-6, num_samples=300, seed=0, min_magnitude=1e-2)
         assert err < 1e-6, f"max relative error {err}"
 
-    # up to L 200 a score block holds 6 or more head matrices, so blocks cut
-    # across samples whenever B·h is not a multiple of the block's count
+    def test_gradient_through_underflow_guard_in_every_tile(self):
+        self.test_gradient_through_underflow_guard(TILED_LENGTH)
+
+    # lengths past QUERY_TILE split each head into query tiles, most ending
+    # in a shorter remainder tile
     # wq and wk stay N(0, 1), so large scores still make the shift overshoot;
     # wv and wo at 1/sqrt(d) keep the outputs near unit size, where float32
     # rounding stays well inside the 1e-4 tolerance
@@ -247,6 +280,25 @@ class TestMhsa:
         out = mhsa(x, wq, wk, wv, wo, h).data
         oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
+
+    # float64 gradients at drawn lengths on both sides of QUERY_TILE; with
+    # eps 1e-5 a checked sum up to ~100 carries ~2e-9 of rounding noise, so
+    # gradients below 1e-2 are not sampled
+    @settings(max_examples=10, deadline=None)
+    @given(bsz=st.integers(1, 2), length=st.integers(1, 2 * QUERY_TILE + 8),
+           head_dim=st.integers(1, 4), h=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @example(bsz=2, length=QUERY_TILE, head_dim=2, h=3, seed=0)
+    @example(bsz=2, length=QUERY_TILE + 1, head_dim=2, h=3, seed=0)
+    def test_drawn_shapes_gradient(self, bsz, length, head_dim, h, seed):
+        rng = np.random.default_rng(seed)
+        d = head_dim * h
+        x = Tensor(rng.normal(size=(bsz, length, d)), requires_grad=True, dtype=np.float64)
+        ws = [Tensor(rng.normal(size=(d, d)) / math.sqrt(d), requires_grad=True, dtype=np.float64)
+              for _ in range(4)]
+        w_out = Tensor(rng.uniform(0.5, 1.5, size=(bsz, length, d)), dtype=np.float64)
+        err = grad_check(lambda: ad.tsum(ad.mul(mhsa(x, *ws, h), w_out)), [x, *ws],
+                         eps=1e-5, num_samples=40, seed=0, min_magnitude=1e-2)
+        assert err < 1e-6, f"max relative error {err}"
 
     def test_keeps_no_score_tensor(self):
         # one (B, h, L, L) float32 score tensor at B 2, L 512, 16 heads is

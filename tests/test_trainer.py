@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hapticauth
+from hapticauth import trainer
 from hapticauth import (
     AdamState,
     FeatureSequence,
@@ -386,6 +387,17 @@ class TestExperimentFactories:
             assert a.history.train_loss == b.history.train_loss
             for name, t in a.params.items():
                 np.testing.assert_array_equal(t.data, b.params[name].data)
+
+    def test_workers_run_blas_on_one_thread(self, monkeypatch):
+        # a worker imports numpy with every BLAS thread variable at 1; the
+        # parent keeps its own values, and a variable it lacked stays unset
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        seen = trainer._in_workers(os.getenv, list(trainer.BLAS_THREAD_VARS) * 2, workers=2)
+        assert seen == ["1"] * 6
+        assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "2"
+        assert "MKL_NUM_THREADS" not in os.environ
 
 
 class TestPlanner:
