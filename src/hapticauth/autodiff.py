@@ -153,6 +153,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor] | dict[str, Ten
     that floor cannot be resolved by any finite-difference check; excluding
     them measures the implementation rather than the noise.
     """
+    if num_samples < 1:
+        raise ValueError(f"grad_check needs num_samples >= 1, got {num_samples}")
     if isinstance(params, dict):
         tensors = [params[k] for k in sorted(params)]
     else:

@@ -98,7 +98,6 @@ def _prepare_outfile(path_str: str | None, force: bool) -> Path:
 def cmd_synth(args) -> int:
     if args.tasks < 1 or args.tasks > 26:
         raise ConfigError(f"--tasks must be in [1, 26], got {args.tasks}")
-    out = _prepare_outdir(args.out, args.force)
     cfg = SynthConfig(
         num_users=args.users,
         tasks=tuple(chr(ord("a") + i) for i in range(args.tasks)),
@@ -106,6 +105,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         duration_range=(args.duration_min, args.duration_max),
     )
+    out = _prepare_outdir(args.out, args.force)
     dataset = synth_dataset(cfg)
     save_dataset(dataset, out)
     print(f"wrote {len(dataset)} traces ({args.users} users x {args.tasks} tasks "
@@ -141,7 +141,7 @@ def _model_template(args, kind: str) -> ModelConfig:
         num_layers=args.layers,
         seq_len=seq_len,
     )
-    if not cfg.paper_standard:
+    if seq_len not in DEFAULT_SEQ_LEN.values():
         print(f"note: seq_len={seq_len} is non-standard (paper runs use 64 or 512)",
               file=sys.stderr)
     return cfg
@@ -254,6 +254,10 @@ def _quadratic_self_test() -> float:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value, low in (("--samples", args.samples, 1), ("--batch", args.batch, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
     cfg = ModelConfig(
         d_model=args.d_model,
         num_heads=args.heads,

@@ -4,8 +4,8 @@ A recording is one letter-writing trial: a timestamped sequence of 3-axis
 force samples tagged with user/task/trial/variant labels.  CSV files carry
 the mandatory header ``timestamp,fx,fy,fz``; a JSON manifest indexes a
 directory of such files.  Because the human dataset behind this toolkit is
-private, :func:`synth_dataset` generates labeled traces with controllable
-per-user force signatures that stand in for it.
+private, :func:`synth_dataset` generates labeled traces that stand in for it,
+each user with a force signature drawn from the fixed SIGNATURE_RANGES.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -91,9 +92,10 @@ def parse_trace_csv(
 ) -> ForceTrace:
     """Parse ``timestamp,fx,fy,fz`` CSV text into a ForceTrace.
 
-    Raises SchemaError for a bad header, DataError for non-numeric or
-    non-finite rows (naming the row index), TraceOrderingError for
-    non-increasing timestamps and EmptyTraceError for a header-only file.
+    Values are ASCII numbers as float() spells them, without '_'.  Raises
+    SchemaError for a bad header, DataError for non-numeric or non-finite
+    rows (naming the row index), TraceOrderingError for non-increasing
+    timestamps and EmptyTraceError for a header-only file.
     """
     if isinstance(data, bytes):
         text = data.decode("utf-8")
@@ -108,13 +110,16 @@ def parse_trace_csv(
         raise EmptyTraceError("CSV contains a header but no data rows")
     try:  # every token in one pass; on any failure the loop below raises for the first bad row
         rows = np.fromiter(map(float, ",".join(body).split(",")), np.float64, count=4 * len(body))
-        bad = set(map(str.count, body, repeat(","))) != {3} or not np.isfinite(rows).all()
+        bad = (not (text.isascii() and "_" not in text)
+               or set(map(str.count, body, repeat(","))) != {3} or not np.isfinite(rows).all())
     except ValueError:
         bad = True
     for i, line in enumerate(body if bad else ()):
         parts = line.split(",")
         if len(parts) != 4:
             raise SchemaError(f"row {i}: expected 4 columns, got {len(parts)}")
+        if not line.isascii() or "_" in line:  # float() takes 1_0 and non-ASCII digits
+            raise DataError(f"row {i}: non-numeric value ({line!r} holds '_' or non-ASCII)")
         try:
             vals = [float(p) for p in parts]
         except ValueError as exc:
@@ -317,7 +322,7 @@ def load_dataset(manifest: DatasetManifest, base_dir: Path | str) -> TraceDatase
                 )
             )
         except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+            raise type(exc)(f"{path}: {exc}") from None
     return TraceDataset(traces)
 
 
@@ -344,52 +349,44 @@ def save_dataset(dataset: TraceDataset, out_dir: Path | str) -> DatasetManifest:
 
 # --- synthetic generation -------------------------------------------------
 
+# per-user force signature: every user draws one value of each parameter
+# from its (low, high) range, stratified so that no two users collapse onto
+# the same signature
+SIGNATURE_RANGES = {
+    "press_force": (0.5, 5.0),       # N, mean pen-down force
+    "press_variance": (0.01, 0.25),  # N^2, slow pressure wobble
+    "tremor_freq": (4.0, 12.0),      # Hz, physiological tremor band
+    "tremor_amp": (0.05, 0.6),       # N
+    "speed_scale": (0.7, 1.4),       # dimensionless stroke speed
+    "noise_std": (0.01, 0.08),       # N, sensor white noise
+}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Controls the synthetic stand-in dataset.
-
-    Each per-user signature parameter is a (low, high) range; every user
-    receives one deterministic draw per parameter, stratified across users
-    so that no two users collapse onto the same signature.
-    """
+    """Shape and seed of the synthetic stand-in dataset: who, which letters,
+    how many trials of what length.  Each user's force signature is drawn
+    from SIGNATURE_RANGES."""
 
     num_users: int = 5
     tasks: Sequence[str] = DEFAULT_TASKS
     trials_per_task: int = 10
     seed: int = 0
     duration_range: tuple[float, float] = (1.0, 2.0)        # seconds per trial
-    press_force_range: tuple[float, float] = (0.5, 5.0)     # N, mean pen-down force
-    press_variance_range: tuple[float, float] = (0.01, 0.25)  # N^2, slow pressure wobble
-    tremor_freq_range: tuple[float, float] = (4.0, 12.0)    # Hz, physiological tremor band
-    tremor_amp_range: tuple[float, float] = (0.05, 0.6)     # N
-    speed_scale_range: tuple[float, float] = (0.7, 1.4)     # dimensionless stroke speed
-    noise_std_range: tuple[float, float] = (0.01, 0.08)     # N, sensor white noise
 
-    def validate(self) -> None:
-        if self.num_users < 2:
-            raise ConfigError(f"num_users must be >= 2, got {self.num_users}")
-        if self.trials_per_task < 1:
-            raise ConfigError(f"trials_per_task must be >= 1, got {self.trials_per_task}")
+    def __post_init__(self):
+        for name, low in (("num_users", 2), ("trials_per_task", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.tasks:
             raise ConfigError("tasks list is empty")
         if len(set(self.tasks)) != len(self.tasks):
             raise ConfigError("task labels must be unique")
-        for name in ("duration_range", "press_force_range", "press_variance_range",
-                     "tremor_freq_range", "tremor_amp_range", "speed_scale_range",
-                     "noise_std_range"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ConfigError(f"{name} must satisfy 0 < low <= high, got ({lo}, {hi})")
+        lo, hi = self.duration_range
+        if not (0 < lo <= hi < math.inf):
+            raise ConfigError(f"duration_range needs 0 < low <= high < inf, got ({lo}, {hi})")
 
-
-_PARAM_RANGES = (
-    "press_force_range",
-    "press_variance_range",
-    "tremor_freq_range",
-    "tremor_amp_range",
-    "speed_scale_range",
-    "noise_std_range",
-)
 
 _N_HARMONICS = 4
 
@@ -444,8 +441,7 @@ def _draw_user_params(cfg: SynthConfig) -> dict[str, np.ndarray]:
     rng = np.random.default_rng([cfg.seed, 0xA11CE])
     n = cfg.num_users
     out = {}
-    for name in _PARAM_RANGES:
-        lo, hi = getattr(cfg, name)
+    for name, (lo, hi) in SIGNATURE_RANGES.items():
         order = rng.permutation(n).astype(np.float64)
         jitter = rng.uniform(0.2, 0.8, size=n)
         out[name] = lo + (order + jitter) * (hi - lo) / n
@@ -460,13 +456,13 @@ def _synth_trace(cfg: SynthConfig, template: _StrokeTemplate, params: dict[str, 
     n = max(4, int(round(duration * rate)))
     t = np.arange(n, dtype=np.float64) / rate
 
-    speed = params["speed_scale_range"]
+    speed = params["speed_scale"]
     progress = np.minimum(speed * t / duration, 1.0)
     tangent, curvature = template.derivatives(progress)
     moving = (speed * t / duration < 1.0).astype(np.float64)
 
-    press_mean = params["press_force_range"]
-    press_std = np.sqrt(params["press_variance_range"])
+    press_mean = params["press_force"]
+    press_std = np.sqrt(params["press_variance"])
     # pen-down pressure tracks wall-clock trial time: ramp in, hold, ramp out
     edge = 0.1
     u_time = t / duration
@@ -476,11 +472,11 @@ def _synth_trace(cfg: SynthConfig, template: _StrokeTemplate, params: dict[str, 
     press = press_mean * envelope + press_std * np.sin(2.0 * np.pi * wobble_freq * t + wobble_phase)
 
     tremor_phase = rng.uniform(0.0, 2.0 * np.pi)
-    tremor = params["tremor_amp_range"] * np.sin(
-        2.0 * np.pi * params["tremor_freq_range"] * t + tremor_phase
+    tremor = params["tremor_amp"] * np.sin(
+        2.0 * np.pi * params["tremor_freq"] * t + tremor_phase
     )
 
-    noise_std = params["noise_std_range"]
+    noise_std = params["noise_std"]
     noise = rng.normal(0.0, noise_std, size=(n, 3))
 
     # static friction keeps a floor under the drag force of light pressers
@@ -503,7 +499,6 @@ def _synth_trace(cfg: SynthConfig, template: _StrokeTemplate, params: dict[str, 
 
 def synth_dataset(cfg: SynthConfig) -> TraceDataset:
     """Generate a labeled synthetic dataset; a pure function of the config."""
-    cfg.validate()
     user_params = _draw_user_params(cfg)
     templates = {task: _StrokeTemplate(task) for task in cfg.tasks}
     width = max(2, len(str(cfg.num_users)))

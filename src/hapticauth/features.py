@@ -35,7 +35,7 @@ def differentiate(seq: np.ndarray, rate: float) -> np.ndarray:
     return np.diff(x, axis=0) * rate
 
 
-def extract_features(forces: np.ndarray, rate: float = 250.0) -> np.ndarray:
+def extract_features(forces: np.ndarray, rate: float) -> np.ndarray:
     """Map a T x 3 force matrix to the (T-3) x 13 derived-feature matrix."""
     f = np.asarray(forces, dtype=np.float32)
     if f.ndim != 2 or f.shape[1] != 3:

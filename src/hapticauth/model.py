@@ -30,7 +30,6 @@ from .errors import ConfigError, DataError, ShapeError
 from .features import NUM_FEATURES
 
 CHECKPOINT_VERSION = 4
-PAPER_SEQ_LENS = (64, 512)
 # elements in one (heads, query rows, L) attention score tile: 1 MB of
 # float32, so a tile stays in a 2 MB per-core L2 cache
 SCORE_BLOCK = 2 ** 18
@@ -72,10 +71,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.num_heads
-
-    @property
-    def paper_standard(self) -> bool:
-        return self.seq_len in PAPER_SEQ_LENS
 
     def to_dict(self) -> dict:
         return asdict(self)

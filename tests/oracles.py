@@ -56,6 +56,9 @@ def csv_parse_rows(text):
         parts = line.split(",")
         if len(parts) != 4:
             raise CsvRowError("SchemaError", f"row {i}: expected 4 columns, got {len(parts)}")
+        if any(c == "_" or ord(c) > 127 for c in line):  # a writer spells values in ASCII
+            raise CsvRowError("DataError",
+                              f"row {i}: non-numeric value ({line!r} holds '_' or non-ASCII)")
         try:
             vals = [float(p) for p in parts]
         except ValueError as exc:

@@ -210,6 +210,12 @@ class TestGradCheck:
         err = grad_check(lambda: ad.tsum(ad.mul(x, x)), [x], eps=1e-5, num_samples=40)
         assert err < 1e-9
 
+    @pytest.mark.parametrize("num_samples", [0, -1])
+    def test_no_samples_is_an_error(self, num_samples):
+        x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        with pytest.raises(ValueError, match="num_samples"):
+            grad_check(lambda: ad.tsum(ad.mul(x, x)), [x], num_samples=num_samples)
+
     def test_softmax_cross_entropy_below_1e6(self):
         from hapticauth.model import cross_entropy
         rng = np.random.default_rng(13)

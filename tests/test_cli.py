@@ -56,8 +56,10 @@ class TestSynth:
         assert main(synth_args(b)) == 0
         assert read_tree(a) == read_tree(b)
 
-    def test_invalid_users_is_usage_error(self, tmp_path):
-        assert main(synth_args(tmp_path / "x", users=0)) == 2
+    @pytest.mark.parametrize("setting", [{"users": 0}, {"seed": -1}])
+    def test_invalid_setting_is_usage_error(self, tmp_path, setting):
+        assert main(synth_args(tmp_path / "x", **setting)) == 2
+        assert not (tmp_path / "x").exists()
 
     def test_refuses_overwrite_without_force(self, dataset_dir):
         assert main(synth_args(dataset_dir)) == 2
@@ -533,8 +535,25 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--d-model", "32", "--heads", "4", "--ffn-dim", "32",
                      "--seq-len", "6", "--samples", "60", "--inject-fault"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--samples", "-1"],
+                                       ["--batch", "0"], ["--seed", "-1"]])
+    def test_out_of_range_flag_is_a_config_error(self, capsys, flags):
+        assert main(["gradcheck", "--d-model", "16", "--heads", "2", "--ffn-dim", "16",
+                     "--seq-len", "6", *flags]) == 2
+        assert flags[0] in capsys.readouterr().err
+
 
 class TestDefaults:
+    @pytest.mark.parametrize("seq_len, noted", [("100", True), ("64", False), ("512", False)])
+    def test_non_paper_seq_len_note(self, capsys, seq_len, noted):
+        from hapticauth.cli import _model_template, build_parser
+        args = build_parser().parse_args(["train-experiment", "--manifest", "m", "--kind", "task",
+                                          "--out", "o", "--seq-len", seq_len])
+        assert _model_template(args, "task").seq_len == int(seq_len)
+        err = capsys.readouterr().err
+        assert err == (f"note: seq_len={seq_len} is non-standard (paper runs use 64 or 512)\n"
+                       if noted else "")
+
     def test_env_var_supplies_output_root(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"
         monkeypatch.setenv("HAPTICAUTH_OUT", str(out))

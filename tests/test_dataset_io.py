@@ -1,4 +1,6 @@
+import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from hapticauth import (
     synth_dataset,
     write_trace_csv,
 )
+from hapticauth import dataset
 from hapticauth.dataset import VARIANTS, atomic_write
 from hapticauth.errors import ConfigError, HapticAuthError
 from hapticauth.features import extract_features
@@ -50,6 +53,14 @@ class TestParseTraceCsv:
         text = "timestamp,fx,fy,fz\n0.0,1,1,1\n0.004,1,1,NaN\n"
         with pytest.raises(DataError, match="row 1"):
             parse_trace_csv(text, user_id="u", task_id="a", trial_index=0)
+
+    @pytest.mark.parametrize("row", ["0,1_0,2,3", "0,1_0,\u0661\u0662, 3", "0,1,\u0661\u0662,3",
+                                     "0,1,2,3\u00a0"])
+    def test_refuses_tokens_no_writer_produces(self, row):
+        # float() takes digit separators, non-ASCII digits and Unicode spaces
+        with pytest.raises(DataError, match=r"row 0: non-numeric value \(.*'_' or non-ASCII"):
+            parse_trace_csv(f"timestamp,fx,fy,fz\n{row}\n", user_id="u", task_id="a",
+                            trial_index=0)
 
     def test_bad_header(self):
         with pytest.raises(SchemaError):
@@ -175,6 +186,7 @@ class TestCsvMatchesRowReference:
         "timestamp,fx,fy,fz\r\n0,1,2,3\r\n0.5,1,2,3\r\n",
         " timestamp,fx,fy,fz \n 0 , 1,2 ,\t3\n",
         "timestamp,fx,fy,fz\n0,1_0,2,3\n",
+        "timestamp,fx,fy,fz\n0,1,2,3\n0.5,1,\u0661\u0662,3\n",  # Arabic-Indic digits
         "timestamp,fx,fy,fz\n0,1,2,3\n0.5,nan,2,3\n",
         "timestamp,fx,fy,fz\n0,inf,2,3\n",
         "timestamp,fx,fy,fz\n0,-Infinity,2,3\n",
@@ -282,6 +294,20 @@ class TestManifestAndLoading:
         assert ds.users == ["u01", "u02"]
         assert ds.tasks == ["a", "b"]
 
+    @pytest.mark.parametrize("text, error", [
+        ("timestamp,fx,fy,fz\n", EmptyTraceError),
+        ("timestamp,fx,fy,fz\n0,1,1,1\n0,1,1,1\n", TraceOrderingError),
+        ("time,fx,fy,fz\n0,1,1,1\n", SchemaError),
+    ])
+    def test_load_dataset_keeps_error_class(self, tmp_path, text, error):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        manifest = DatasetManifest(entries=[ManifestEntry(path="t.csv", user="u", task="a",
+                                                          trial=0, variant="raw")])
+        with pytest.raises(error, match=re.escape(str(path))) as info:
+            load_dataset(manifest, tmp_path)
+        assert type(info.value) is error
+
     def test_manifest_rate_is_the_traces_rate(self, tmp_path):
         rng = np.random.default_rng(3)
         traces = [make_trace(rng, n=16, trial=k, rate=500.0) for k in range(2)]
@@ -342,24 +368,25 @@ class TestSynthDataset:
             np.testing.assert_array_equal(a.timestamps, b.timestamps)
             np.testing.assert_array_equal(a.forces, b.forces)
 
-    def test_invalid_config(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"num_users": 1}, {"num_users": 2.5}, {"num_users": True},
+        {"trials_per_task": 0}, {"trials_per_task": True}, {"seed": -1}, {"seed": 1.0},
+        {"tasks": ()}, {"tasks": ("a", "a")},
+        {"duration_range": (0.0, 1.0)}, {"duration_range": (0.5, 0.1)},
+        {"duration_range": (1.0, math.inf)}, {"duration_range": (math.nan, 1.0)},
+    ])
+    def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigError):
-            SynthConfig(num_users=1).validate()
-        with pytest.raises(ConfigError):
-            SynthConfig(trials_per_task=0).validate()
-        with pytest.raises(ConfigError):
-            SynthConfig(tremor_amp_range=(0.5, 0.1)).validate()
-        with pytest.raises(ConfigError):
-            synth_dataset(SynthConfig(num_users=0))
+            SynthConfig(**kwargs)
 
-    def test_tremor_spectra_separate_users(self):
+    def test_tremor_spectra_separate_users(self, monkeypatch):
         # one user draws a weak tremor, the other a strong one in a different band;
         # the mean |fz| power spectra must differ measurably at the tremor frequency
+        monkeypatch.setitem(dataset.SIGNATURE_RANGES, "tremor_amp", (1e-6, 1.2))
+        monkeypatch.setitem(dataset.SIGNATURE_RANGES, "noise_std", (0.01, 0.011))
         cfg = SynthConfig(
             num_users=2, tasks=("a",), trials_per_task=12, seed=9,
             duration_range=(1.0, 1.0000001),
-            tremor_amp_range=(1e-6, 1.2),
-            noise_std_range=(0.01, 0.011),
         )
         ds = synth_dataset(cfg)
         spectra = {}

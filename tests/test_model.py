@@ -83,11 +83,6 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(d_model=250, num_heads=16, num_classes=7)
 
-    def test_paper_standard_flag(self):
-        assert ModelConfig(num_classes=7, seq_len=64).paper_standard
-        assert ModelConfig(num_classes=7, seq_len=512).paper_standard
-        assert not ModelConfig(num_classes=7, seq_len=100).paper_standard
-
     def test_dict_roundtrip(self):
         cfg = ModelConfig(num_classes=5, seq_len=512)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
