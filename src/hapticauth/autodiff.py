@@ -63,12 +63,10 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
-    else:
-        t.grad = t.grad + g
+    # g is stored, not copied: a backward hands over a fresh array (or a view
+    # of one) and never writes to it again, and nothing writes to a .grad
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # --- ops -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .dataset import (
-    DEFAULT_TASKS,
     DatasetManifest,
     SynthConfig,
     TraceDataset,
@@ -56,6 +56,11 @@ GRADCHECK_EPS = 1e-5
 # coordinates with a smaller |analytic gradient| sit below the
 # finite-difference rounding floor, so they are not checked
 GRADCHECK_MIN_GRAD = 1e-6
+# gradcheck checks a 4-class model on 2 sequences; one seed draws the
+# weights, the batch and the sampled coordinates
+_GRADCHECK_CLASSES = 4
+_GRADCHECK_BATCH = 2
+_GRADCHECK_SEED = 0
 
 
 def _default_out() -> str | None:
@@ -93,6 +98,18 @@ def _prepare_outfile(path_str: str | None, force: bool) -> Path:
     return out
 
 
+def _load(manifest_path: str, variant: str | None = None) -> TraceDataset:
+    """The manifest's dataset, read relative to the manifest's directory;
+    given a variant, only that variant's traces, of which there must be some."""
+    dataset = load_dataset(DatasetManifest.load(manifest_path), Path(manifest_path).parent)
+    if variant is None:
+        return dataset
+    dataset = dataset.subset(variant=variant)
+    if len(dataset) == 0:
+        raise DataError(f"manifest has no {variant!r} entries")
+    return dataset
+
+
 # --- synth ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -118,12 +135,7 @@ def cmd_synth(args) -> int:
 def cmd_filter(args) -> int:
     if not (0.0 < args.alpha <= 1.0):
         raise ConfigError(f"--alpha must be in (0, 1], got {args.alpha}")
-    manifest = DatasetManifest.load(args.manifest)
-    base = Path(args.manifest).parent
-    dataset = load_dataset(manifest, base)
-    raw = dataset.subset(variant="raw")
-    if len(raw) == 0:
-        raise DataError("manifest has no raw-variant entries to filter")
+    raw = _load(args.manifest, "raw")
     out = _prepare_outdir(args.out, args.force)
     save_dataset(TraceDataset(filter_trace(tr, args.alpha) for tr in raw), out)
     print(f"filtered {len(raw)} traces (alpha={args.alpha}) into {out}")
@@ -132,15 +144,14 @@ def cmd_filter(args) -> int:
 
 # --- train-experiment ------------------------------------------------------
 
+def _model_config(args, seq_len: int) -> ModelConfig:
+    return ModelConfig(d_model=args.d_model, num_heads=args.heads, ffn_dim=args.ffn_dim,
+                       num_layers=args.layers, seq_len=seq_len)
+
+
 def _model_template(args, kind: str) -> ModelConfig:
     seq_len = args.seq_len if args.seq_len is not None else DEFAULT_SEQ_LEN[kind]
-    cfg = ModelConfig(
-        d_model=args.d_model,
-        num_heads=args.heads,
-        ffn_dim=args.ffn_dim,
-        num_layers=args.layers,
-        seq_len=seq_len,
-    )
+    cfg = _model_config(args, seq_len)
     if seq_len not in DEFAULT_SEQ_LEN.values():
         print(f"note: seq_len={seq_len} is non-standard (paper runs use 64 or 512)",
               file=sys.stderr)
@@ -160,10 +171,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train_experiment(args) -> int:
-    manifest = DatasetManifest.load(args.manifest)
-    dataset = load_dataset(manifest, Path(args.manifest).parent).subset(variant=args.variant)
-    if len(dataset) == 0:
-        raise DataError(f"manifest has no {args.variant!r} entries")
+    dataset = _load(args.manifest, args.variant)
     out = _prepare_outdir(args.out, args.force)
     train_cfg = _train_config(args)
     template = _model_template(args, args.kind)
@@ -186,22 +194,10 @@ def cmd_eval_experiment(args) -> int:
     ckpt_dir = Path(args.checkpoints)
     if not ckpt_dir.is_dir():
         raise DataError(f"checkpoint directory not found: {ckpt_dir}")
-    if args.models:
-        wanted = [m.strip() for m in args.models.split(",") if m.strip()]
-        if len(set(wanted)) != len(wanted):
-            raise ConfigError(f"--models repeats a model: {args.models!r}")
-        paths = []
-        for mid in wanted:
-            p = ckpt_dir / f"{mid}.ckpt"
-            if not p.exists():
-                raise DataError(f"missing checkpoint for model {mid!r}: {p}")
-            paths.append(p)
-    else:
-        paths = sorted(ckpt_dir.glob("*.ckpt"))
-        if not paths:
-            raise DataError(f"no checkpoints in {ckpt_dir}")
-    manifest = DatasetManifest.load(args.manifest)
-    dataset = load_dataset(manifest, Path(args.manifest).parent)
+    paths = sorted(ckpt_dir.glob("*.ckpt"))
+    if not paths:
+        raise DataError(f"no checkpoints in {ckpt_dir}")
+    dataset = _load(args.manifest)
     out = _prepare_outdir(args.out, args.force)
 
     exp = evaluate_experiment([load_trained(dataset, p) for p in paths])
@@ -221,10 +217,7 @@ def cmd_sweep(args) -> int:
             sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError:
             raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    manifest = DatasetManifest.load(args.manifest)
-    dataset = load_dataset(manifest, Path(args.manifest).parent).subset(variant=args.variant)
-    if len(dataset) == 0:
-        raise DataError(f"manifest has no {args.variant!r} entries")
+    dataset = _load(args.manifest, args.variant)
     users = [u.strip() for u in args.users.split(",") if u.strip()] if args.users else None
     out = _prepare_outfile(args.out, args.force)
     train_cfg = _train_config(args)
@@ -254,24 +247,15 @@ def _quadratic_self_test() -> float:
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value, low in (("--samples", args.samples, 1), ("--batch", args.batch, 1),
-                             ("--seed", args.seed, 0)):
-        if value < low:
-            raise ConfigError(f"{flag} must be >= {low}, got {value}")
-    cfg = ModelConfig(
-        d_model=args.d_model,
-        num_heads=args.heads,
-        ffn_dim=args.ffn_dim,
-        num_layers=args.layers,
-        num_classes=args.classes,
-        seq_len=args.seq_len,
-    )
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    cfg = replace(_model_config(args, args.seq_len), num_classes=_GRADCHECK_CLASSES)
     quad_err = _quadratic_self_test()
     print(f"quadratic self-test: max rel error {quad_err:.3e} "
           f"({'ok' if quad_err < QUADRATIC_THRESHOLD else 'FAIL'})")
 
-    params = build_model(cfg, seed=args.seed).astype(np.float64)
-    batch, labels = draw_kink_free_batch(params, args.batch, seed=args.seed)
+    params = build_model(cfg, seed=_GRADCHECK_SEED).astype(np.float64)
+    batch, labels = draw_kink_free_batch(params, _GRADCHECK_BATCH, seed=_GRADCHECK_SEED)
 
     fault = args.inject_fault
 
@@ -284,7 +268,7 @@ def cmd_gradcheck(args) -> int:
         return loss
 
     err = grad_check(f, dict(params.items()), eps=GRADCHECK_EPS, num_samples=args.samples,
-                     seed=args.seed, min_magnitude=GRADCHECK_MIN_GRAD)
+                     seed=_GRADCHECK_SEED, min_magnitude=GRADCHECK_MIN_GRAD)
     ok = quad_err < QUADRATIC_THRESHOLD and err < GRADCHECK_THRESHOLD
     print(f"model gradcheck ({args.samples} coords, eps={GRADCHECK_EPS}): "
           f"max rel error {err:.3e} ({'ok' if err < GRADCHECK_THRESHOLD else 'FAIL'})")
@@ -293,20 +277,26 @@ def cmd_gradcheck(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+def _add_model_flags(p: argparse.ArgumentParser, seq_len: int | None) -> None:
+    p.add_argument("--d-model", type=int, default=ModelConfig.d_model)
+    p.add_argument("--heads", type=int, default=ModelConfig.num_heads)
+    p.add_argument("--ffn-dim", type=int, default=ModelConfig.ffn_dim)
+    p.add_argument("--layers", type=int, default=ModelConfig.num_layers)
+    p.add_argument("--seq-len", type=int, default=seq_len,
+                   help="resample length (default: 512 for user-id, 64 for task)"
+                   if seq_len is None else None)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--train-per-class", type=int, default=100)
-    p.add_argument("--test-per-class", type=int, default=20)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--train-per-class", type=int, default=TrainConfig.train_per_class)
+    p.add_argument("--test-per-class", type=int, default=TrainConfig.test_per_class)
     p.add_argument("--no-normalize", action="store_true",
                    help="feed raw (unnormalized) features, as in the paper's literal pipeline")
-    p.add_argument("--d-model", type=int, default=256)
-    p.add_argument("--heads", type=int, default=16)
-    p.add_argument("--ffn-dim", type=int, default=256)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--seq-len", type=int, default=None,
-                   help="resample length (default: 512 for user-id, 64 for task)")
+    _add_model_flags(p, seq_len=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--out", default=_default_out())
     p.add_argument("--users", type=int, required=True)
-    p.add_argument("--tasks", type=int, default=len(DEFAULT_TASKS),
+    p.add_argument("--tasks", type=int, default=len(SynthConfig.tasks),
                    help="number of letter tasks, labeled a, b, c, ...")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration-min", type=float, default=1.0)
-    p.add_argument("--duration-max", type=float, default=2.0)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--duration-min", type=float, default=SynthConfig.duration_range[0])
+    p.add_argument("--duration-max", type=float, default=SynthConfig.duration_range[1])
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
 
@@ -340,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=["user-id", "task"], required=True)
     p.add_argument("--variant", choices=["raw", "filtered"], default="raw")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=_default_out())
     p.add_argument("--workers", type=int, default=1,
                    help="parallel model training processes")
@@ -352,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=_default_out())
-    p.add_argument("--models", default=None,
-                   help="comma-separated model ids (default: all in the directory)")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_eval_experiment)
 
@@ -362,22 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=_default_out())
     p.add_argument("--sizes", default=None, help="comma-separated sizes (default 5..100 step 5)")
     p.add_argument("--variant", choices=["raw", "filtered"], default="raw")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--users", default=None, help="restrict to these users (comma-separated)")
     p.add_argument("--force", action="store_true")
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of the model gradients")
-    p.add_argument("--d-model", type=int, default=256)
-    p.add_argument("--heads", type=int, default=16)
-    p.add_argument("--ffn-dim", type=int, default=256)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--seq-len", type=int, default=8)
-    p.add_argument("--batch", type=int, default=2)
+    _add_model_flags(p, seq_len=8)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt the loss so verification must fail (negative self-test)")
     p.set_defaults(func=cmd_gradcheck)

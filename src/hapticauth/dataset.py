@@ -97,10 +97,8 @@ def parse_trace_csv(
     rows (naming the row index), TraceOrderingError for non-increasing
     timestamps and EmptyTraceError for a header-only file.
     """
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
+    # an undecodable byte becomes U+FFFD, which the non-ASCII rule refuses by row
+    text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != CSV_HEADER:
         got = lines[0].strip() if lines else "<empty file>"

@@ -41,7 +41,7 @@ def ema_filter(values: np.ndarray, alpha: float) -> np.ndarray:
     return y
 
 
-def filter_trace(trace: ForceTrace, alpha: float = 0.001) -> ForceTrace:
+def filter_trace(trace: ForceTrace, alpha: float) -> ForceTrace:
     """Return the filtered-variant counterpart of a raw trace."""
     return ForceTrace(
         timestamps=trace.timestamps,

@@ -195,6 +195,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
             adam_step(params, grads, state, lr)
             loss_sum += float(loss.data) * len(idx)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
+            del logits, loss  # else this step's graph lives on through the next forward
         history.train_loss.append(loss_sum / n)
         history.train_acc.append(correct / n)
         history.lr.append(lr)

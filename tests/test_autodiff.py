@@ -93,6 +93,17 @@ class TestBackward:
         backward(ad.tsum(z))
         np.testing.assert_array_equal(x.grad, [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]])
 
+    def test_gradient_stored_as_handed_over(self):
+        # the first gradient becomes .grad uncopied; a second one sums into a new array
+        x = t64(np.zeros(3))
+        g1, g2 = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.5])
+        ad._accumulate(x, g1)
+        assert x.grad is g1
+        ad._accumulate(x, g2)
+        assert x.grad is not g1 and x.grad is not g2
+        np.testing.assert_array_equal(x.grad, [1.5, 2.5, 3.5])
+        np.testing.assert_array_equal(g1, [1.0, 2.0, 3.0])
+
     def test_grads_accumulate_across_backward_calls(self):
         x = t64(np.ones(3))
         backward(ad.tsum(x))

@@ -76,6 +76,11 @@ class TestParseTraceCsv:
         with pytest.raises(DataError, match="row 0"):
             parse_trace_csv(text, user_id="u", task_id="a", trial_index=0)
 
+    def test_undecodable_byte_names_row(self):
+        data = b"timestamp,fx,fy,fz\n0.0,1,2,3\n0.004,1,2,3\xff\n"
+        with pytest.raises(DataError, match=r"row 1: non-numeric value"):
+            parse_trace_csv(data, user_id="u", task_id="a", trial_index=0)
+
     def test_accepts_bytes(self):
         data = b"timestamp,fx,fy,fz\n0.0,1,2,3\n"
         tr = parse_trace_csv(data, user_id="u", task_id="a", trial_index=0)
@@ -307,6 +312,15 @@ class TestManifestAndLoading:
         with pytest.raises(error, match=re.escape(str(path))) as info:
             load_dataset(manifest, tmp_path)
         assert type(info.value) is error
+
+    def test_undecodable_byte_names_path(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"timestamp,fx,fy,fz\n0,1,1,1\n0.004,1,1\xff,1\n")
+        manifest = DatasetManifest(entries=[ManifestEntry(path="t.csv", user="u", task="a",
+                                                          trial=0, variant="raw")])
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 1: non-numeric")) as info:
+            load_dataset(manifest, tmp_path)
+        assert type(info.value) is DataError
 
     def test_manifest_rate_is_the_traces_rate(self, tmp_path):
         rng = np.random.default_rng(3)

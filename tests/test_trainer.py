@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -254,6 +255,21 @@ class TestTrain:
             train(cfg, TINY_MODEL, toy_set())
         assert len(updates) == 3  # no update after the first non-finite loss
 
+    def test_step_graph_freed_before_next_forward(self, monkeypatch):
+        # two live graphs would double the peak memory of a step
+        from hapticauth import trainer
+        real_forward, seen = trainer.forward, []
+
+        def spy(params, x):
+            assert all(ref() is None for ref in seen), "an earlier step's logits are alive"
+            logits = real_forward(params, x)
+            seen.append(weakref.ref(logits.data))
+            return logits
+
+        monkeypatch.setattr(trainer, "forward", spy)
+        train(TrainConfig(epochs=2, batch_size=4, seed=0), TINY_MODEL, toy_set())
+        assert len(seen) == 4
+
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
             train(TrainConfig(epochs=1), TINY_MODEL, [])
@@ -360,7 +376,7 @@ class TestExperimentFactories:
         from hapticauth import TraceDataset
         from hapticauth.signal import filter_trace
         mixed = TraceDataset(list(small_synth.traces)
-                             + [filter_trace(small_synth.traces[0])])
+                             + [filter_trace(small_synth.traces[0], 0.001)])
         with pytest.raises(DataError, match="variant"):
             _train(mixed, "task", _fast_cfg())
 
