@@ -70,10 +70,10 @@ from .trainer import (
     cosine_lr,
     load_trained,
     plan_experiment,
+    plan_sweep,
     run_jobs,
     save_trained,
     split_dataset,
-    sweep_training_size,
     train,
 )
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .dataset import (
+    VARIANTS,
     DatasetManifest,
     SynthConfig,
     TraceDataset,
@@ -42,12 +43,13 @@ from .signal import filter_trace
 from .trainer import (
     DEFAULT_SEQ_LEN,
     DEFAULT_SWEEP_SIZES,
+    EXPERIMENT_FIELDS,
     TrainConfig,
     load_trained,
     plan_experiment,
+    plan_sweep,
     run_jobs,
     save_trained,
-    sweep_training_size,
 )
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -63,8 +65,10 @@ _GRADCHECK_BATCH = 2
 _GRADCHECK_SEED = 0
 
 
-def _default_out() -> str | None:
-    return os.environ.get("HAPTICAUTH_OUT")
+def _workers() -> int:
+    """The cores this process may run on; the CLI trains one model on each."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _make_dirs(path: Path) -> None:
@@ -175,7 +179,7 @@ def cmd_train_experiment(args) -> int:
     out = _prepare_outdir(args.out, args.force)
     train_cfg = _train_config(args)
     template = _model_template(args, args.kind)
-    models = run_jobs(plan_experiment(dataset, args.kind, train_cfg, template), args.workers)
+    models = run_jobs(plan_experiment(dataset, args.kind, train_cfg, template), _workers())
     # an earlier run's models must not be evaluated alongside this run's
     for stale in out.glob("*.ckpt"):
         stale.unlink()
@@ -222,16 +226,16 @@ def cmd_sweep(args) -> int:
     out = _prepare_outfile(args.out, args.force)
     train_cfg = _train_config(args)
     template = _model_template(args, "task")
-    points = sweep_training_size(dataset, train_cfg, sizes=sizes,
-                                 model_template=template, users=users)
-    group_names = sorted(points[0].per_group) if points else []
-    lines = ["size,accuracy" + "".join(f",{g}" for g in group_names)]
-    for pt in points:
-        lines.append(f"{pt.size},{pt.mean_accuracy}"
-                     + "".join(f",{pt.per_group[g]}" for g in group_names))
-        print(f"size {pt.size:4d}: mean accuracy {pt.mean_accuracy:.4f}")
+    plan = plan_sweep(dataset, train_cfg, sizes, template, users)
+    columns = sorted(job.group for job in plan[0][1])
+    lines = ["size,accuracy" + "".join(f",{u}" for u in columns)]
+    for size, jobs in plan:  # one point at a time: one model per user in memory
+        exp = evaluate_experiment(run_jobs(jobs, _workers()))
+        lines.append(f"{size},{exp.mean_accuracy}"
+                     + "".join(f",{exp.per_user[u]}" for u in columns))
+        print(f"size {size:4d}: mean accuracy {exp.mean_accuracy:.4f}")
     atomic_write_text(out, "\n".join(lines) + "\n")
-    print(f"wrote {len(points)}-row curve to {out}")
+    print(f"wrote {len(plan)}-row curve to {out}")
     return 0
 
 
@@ -283,7 +287,8 @@ def _add_model_flags(p: argparse.ArgumentParser, seq_len: int | None) -> None:
     p.add_argument("--ffn-dim", type=int, default=ModelConfig.ffn_dim)
     p.add_argument("--layers", type=int, default=ModelConfig.num_layers)
     p.add_argument("--seq-len", type=int, default=seq_len,
-                   help="resample length (default: 512 for user-id, 64 for task)"
+                   help="resample length (default: " + ", ".join(
+                       f"{n} for {kind}" for kind, n in DEFAULT_SEQ_LEN.items()) + ")"
                    if seq_len is None else None)
 
 
@@ -306,9 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "train, evaluate, sweep, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default_out = os.environ.get("HAPTICAUTH_OUT")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--out", default=_default_out())
+    p.add_argument("--out", default=default_out)
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--tasks", type=int, default=len(SynthConfig.tasks),
                    help="number of letter tasks, labeled a, b, c, ...")
@@ -321,18 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="emit the EMA-filtered variant of a dataset")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=_default_out())
+    p.add_argument("--out", default=default_out)
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("train-experiment", help="train the per-task or per-user model set")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--kind", choices=["user-id", "task"], required=True)
-    p.add_argument("--variant", choices=["raw", "filtered"], default="raw")
-    p.add_argument("--out", default=_default_out())
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel model training processes")
+    p.add_argument("--kind", choices=list(EXPERIMENT_FIELDS), required=True)
+    p.add_argument("--variant", choices=VARIANTS, default="raw")
+    p.add_argument("--out", default=default_out)
     p.add_argument("--force", action="store_true")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train_experiment)
@@ -340,15 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-experiment", help="evaluate checkpoints and write reports")
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=_default_out())
+    p.add_argument("--out", default=default_out)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_eval_experiment)
 
     p = sub.add_parser("sweep", help="task-classification accuracy vs training-set size")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=_default_out())
-    p.add_argument("--sizes", default=None, help="comma-separated sizes (default 5..100 step 5)")
-    p.add_argument("--variant", choices=["raw", "filtered"], default="raw")
+    p.add_argument("--out", default=default_out)
+    sizes = DEFAULT_SWEEP_SIZES
+    p.add_argument("--sizes", default=None, help="comma-separated sizes "
+                   f"(default {sizes[0]}..{sizes[-1]} step {sizes[1] - sizes[0]})")
+    p.add_argument("--variant", choices=VARIANTS, default="raw")
     p.add_argument("--users", default=None, help="restrict to these users (comma-separated)")
     p.add_argument("--force", action="store_true")
     _add_train_flags(p)

@@ -1,6 +1,6 @@
 """Training protocol: per-group splits, Adam with cosine annealing, the
 experiment planner shared by training, evaluation and the training-size
-sweep, a trained model's one checkpoint file, and the sweep itself.
+sweep, the job runner, and a trained model's one checkpoint file.
 
 Every experiment is deterministic under its seed: model i of a plan derives
 its seed as base_seed + i, splits shuffle within sorted (user, task) groups,
@@ -15,7 +15,7 @@ import math
 import multiprocessing
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -24,7 +24,6 @@ import numpy as np
 from .autodiff import backward
 from .dataset import ForceTrace, TraceDataset
 from .errors import ConfigError, DataError
-from .evaluation import evaluate_experiment
 from .features import FeatureSequence, pipeline
 from .model import (ModelConfig, ModelParams, build_model, cross_entropy, forward,
                     load_checkpoint, save_checkpoint)
@@ -333,7 +332,10 @@ def _in_workers(fn, items: list, workers: int) -> list:
                     os.environ.pop(var, None)
                 else:
                     os.environ[var] = value
-        return [f.result() for f in futures]
+        # raise the first failure without starting the items still queued
+        wait(futures, return_when=FIRST_EXCEPTION)
+        ex.shutdown(cancel_futures=True)
+        return [f.result() for f in futures if not f.cancelled()]
 
 
 def run_jobs(jobs: list[ModelJob], workers: int = 1) -> list[TrainedModel]:
@@ -415,13 +417,6 @@ def load_trained(dataset: TraceDataset, path: Path | str) -> TrainedModel:
 DEFAULT_SWEEP_SIZES = tuple(range(5, 101, 5))
 
 
-@dataclass
-class SweepPoint:
-    size: int
-    mean_accuracy: float
-    per_group: dict[str, float]
-
-
 def _subsample_job(job: ModelJob, size: int) -> ModelJob:
     """The job trained on `size` of its train traces per class, drawn per
     class and kept in split order, so that the full size is the job itself."""
@@ -435,17 +430,17 @@ def _subsample_job(job: ModelJob, size: int) -> ModelJob:
                    train_traces=tuple(job.train_traces[i] for i in sorted(chosen)))
 
 
-def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
-                        sizes: tuple[int, ...] = DEFAULT_SWEEP_SIZES,
-                        model_template: ModelConfig | None = None,
-                        users: list[str] | None = None) -> list[SweepPoint]:
-    """Task-classification accuracy as a function of per-class training size.
+def plan_sweep(dataset: TraceDataset, train_cfg: TrainConfig,
+               sizes: tuple[int, ...] = DEFAULT_SWEEP_SIZES,
+               model_template: ModelConfig | None = None,
+               users: list[str] | None = None) -> list[tuple[int, list[ModelJob]]]:
+    """The jobs of each point of the task-accuracy vs training-size curve.
 
-    Each user's split is fixed by the task experiment's plan.  A point is
-    every user's task job trained, z-score stats included, on `size` of its
-    train trials per class and scored on its fixed test split, so the curve
-    is comparable across sizes.  Sizes run one after another, so memory holds
-    at most one model per user.
+    Each user's split is fixed by the task experiment's plan.  A point's jobs
+    are every user's task job trained, z-score stats included, on `size` of
+    its train trials per class and scored on its fixed test split, so the
+    curve is comparable across sizes.  Running and evaluating one point at a
+    time holds at most one model per user in memory.
     """
     if not sizes:
         raise ConfigError("sweep needs at least one size")
@@ -459,13 +454,11 @@ def sweep_training_size(dataset: TraceDataset, train_cfg: TrainConfig,
         )
     jobs = {job.group: job for job in plan_experiment(dataset, "task", train_cfg, model_template)}
     users = list(users) if users is not None else list(jobs)
+    if not users:
+        raise ConfigError("sweep needs at least one user")
     if len(set(users)) != len(users):
         raise ConfigError(f"sweep users repeat: {users}")
     unknown = sorted(set(users) - set(jobs))
     if unknown:
         raise DataError(f"sweep users not in dataset: {unknown}")
-    points = []
-    for size in sizes:
-        exp = evaluate_experiment(run_jobs([_subsample_job(jobs[u], size) for u in users]))
-        points.append(SweepPoint(size, exp.mean_accuracy, exp.per_user))
-    return points
+    return [(size, [_subsample_job(jobs[u], size) for u in users]) for size in sizes]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hapticauth import ForceTrace, SynthConfig, synth_dataset
+from hapticauth import (ForceTrace, SynthConfig, evaluate_experiment, plan_sweep, run_jobs,
+                        synth_dataset)
 
 
 def make_trace(rng, n=32, user="u01", task="a", trial=0, variant="raw", rate=250.0):
@@ -23,3 +24,13 @@ def small_synth():
     cfg = SynthConfig(num_users=3, tasks=("a", "b"), trials_per_task=8,
                       seed=5, duration_range=(0.1, 0.15))
     return synth_dataset(cfg)
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """The sweep as the sweep command runs it: each point's plan_sweep jobs
+    through run_jobs and evaluate_experiment, as {size: ExperimentReport}."""
+    def run(dataset, train_cfg, **plan_kwargs):
+        return {size: evaluate_experiment(run_jobs(jobs))
+                for size, jobs in plan_sweep(dataset, train_cfg, **plan_kwargs)}
+    return run

@@ -27,7 +27,6 @@ from hapticauth import (
     plan_experiment,
     run_jobs,
     synth_dataset,
-    sweep_training_size,
     train,
 )
 from hapticauth.autodiff import grad_check
@@ -172,16 +171,16 @@ def test_overfit_sanity():
     print(f"\n[ACCEPTANCE] overfit-sanity: PASS (100% train acc at epoch {first_perfect})")
 
 
-def test_sweep_behavior():
+def test_sweep_behavior(sweep):
     start = time.perf_counter()
     dataset = synth_dataset(SynthConfig(num_users=5, tasks=("a", "b", "c"),
                                         trials_per_task=120, seed=21))
     cfg = TrainConfig(learning_rate=1e-3, epochs=50, batch_size=16, seed=0,
                       train_per_class=100, test_per_class=20)
-    points = sweep_training_size(dataset, cfg, model_template=BENCH_MODEL, users=["u01"])
+    curve = sweep(dataset, cfg, model_template=BENCH_MODEL, users=["u01"])
     elapsed = time.perf_counter() - start
-    assert [pt.size for pt in points] == list(range(5, 101, 5))
-    acc = {pt.size: pt.mean_accuracy for pt in points}
+    assert list(curve) == list(range(5, 101, 5))
+    acc = {size: exp.mean_accuracy for size, exp in curve.items()}
     assert acc[100] >= acc[5], f"curve did not rise: {acc[5]} -> {acc[100]}"
     assert acc[100] >= 0.90
     print(f"\n[ACCEPTANCE] sweep-behavior: PASS (acc 5->{acc[5]:.3f}, 100->{acc[100]:.3f}, "

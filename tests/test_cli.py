@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hapticauth import cli, trainer
 from hapticauth.cli import main
 from hapticauth.dataset import DatasetManifest, load_dataset
 from hapticauth.model import ModelConfig, build_model, save_checkpoint
@@ -484,6 +486,48 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(out), "--sizes", "2", "--users", "u01,"] + TINY_FLAGS) == 0
         assert out.read_text().split("\n")[0] == "size,accuracy,u01"
+
+    def test_no_user_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(out), "--sizes", "2", "--users", ","] + TINY_FLAGS) == 2
+        assert "sweep needs at least one user" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestWorkers:
+    def test_one_worker_per_usable_core(self, dataset_dir, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(jobs, workers=1):
+            seen.append(workers)
+            return trainer.run_jobs(jobs)
+
+        monkeypatch.setattr(cli, "run_jobs", spy)
+        manifest = str(dataset_dir / "manifest.json")
+        assert main(["train-experiment", "--manifest", manifest, "--kind", "task",
+                     "--out", str(tmp_path / "ckpt")] + TINY_FLAGS) == 0
+        assert main(["sweep", "--manifest", manifest, "--out", str(tmp_path / "c.csv"),
+                     "--sizes", "2,3"] + TINY_FLAGS) == 0
+        assert seen == [len(os.sched_getaffinity(0))] * 3
+
+    def test_workers_flag_is_gone(self, dataset_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                  "--kind", "task", "--out", str(tmp_path / "ckpt"), "--workers", "2"]
+                 + TINY_FLAGS)
+        assert exc.value.code == 2
+
+    def test_one_core_writes_the_same_checkpoints(self, dataset_dir, tmp_path, monkeypatch):
+        def digests(out):
+            assert main(["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+                         "--kind", "task", "--seed", "4", "--out", str(out)] + TINY_FLAGS) == 0
+            return {name: hashlib.sha256(raw).hexdigest() for name, raw in read_tree(out).items()}
+
+        every_core = digests(tmp_path / "all")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert digests(tmp_path / "one") == every_core
+        assert len(every_core) == 2
 
 
 class TestOutputPaths:

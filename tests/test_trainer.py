@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -22,11 +23,11 @@ from hapticauth import (
     cosine_lr,
     load_trained,
     plan_experiment,
+    plan_sweep,
     run_jobs,
     save_trained,
     split_dataset,
     synth_dataset,
-    sweep_training_size,
     train,
 )
 from hapticauth.errors import ConfigError, DataError
@@ -319,6 +320,16 @@ def _train(dataset, kind, cfg):
     return run_jobs(plan_experiment(dataset, kind, cfg, TINY_MODEL))
 
 
+def _mark_start(item):
+    """Leave a marker file for the item, then fail at once on item 0 and
+    sleep on every other item; module level, so a spawned worker can run it."""
+    index, marker_dir = item
+    (Path(marker_dir) / str(index)).touch()
+    if index == 0:
+        raise ValueError("item 0 failed")
+    time.sleep(0.5)
+
+
 class TestExperimentFactories:
     def test_task_models_one_per_user(self, small_synth):
         models = _train(small_synth, "task", _fast_cfg())
@@ -415,6 +426,14 @@ class TestExperimentFactories:
         assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "2"
         assert "MKL_NUM_THREADS" not in os.environ
 
+    def test_failing_item_cancels_queued_items(self, tmp_path):
+        # the error must not wait behind every queued item: of 10 items on
+        # 2 workers, only those already handed to a worker may start
+        items = [(i, str(tmp_path)) for i in range(10)]
+        with pytest.raises(ValueError, match="item 0 failed"):
+            trainer._in_workers(_mark_start, items, workers=2)
+        assert len(list(tmp_path.iterdir())) < len(items)
+
 
 class TestPlanner:
     @settings(max_examples=12, deadline=None)
@@ -488,36 +507,35 @@ class TestSweep:
         assert DEFAULT_SWEEP_SIZES == tuple(range(5, 101, 5))
         assert len(DEFAULT_SWEEP_SIZES) == 20
 
-    def test_full_size_point_equals_full_protocol(self, small_synth):
+    def test_full_size_point_equals_full_protocol(self, small_synth, sweep):
         cfg = _fast_cfg(train_per_class=5, test_per_class=2)
-        points = sweep_training_size(small_synth, cfg, sizes=(2, 5),
-                                     model_template=TINY_MODEL, users=["u01"])
-        assert [pt.size for pt in points] == [2, 5]
+        curve = sweep(small_synth, cfg, sizes=(2, 5), model_template=TINY_MODEL, users=["u01"])
+        assert list(curve) == [2, 5]
         full = _train(small_synth.subset(user_id="u01"), "task", cfg)
         report = evaluate_experiment(full)
-        assert points[-1].per_group["u01"] == pytest.approx(report.reports[0].accuracy)
+        assert curve[5].per_user["u01"] == pytest.approx(report.reports[0].accuracy)
 
     def test_size_exceeding_split_rejected(self, small_synth):
         with pytest.raises(ConfigError):
-            sweep_training_size(small_synth, _fast_cfg(train_per_class=5), sizes=(10,),
-                                model_template=TINY_MODEL)
+            plan_sweep(small_synth, _fast_cfg(train_per_class=5), sizes=(10,),
+                       model_template=TINY_MODEL)
 
     def test_unknown_user_rejected(self, small_synth):
         with pytest.raises(DataError):
-            sweep_training_size(small_synth, _fast_cfg(), sizes=(2,),
-                                model_template=TINY_MODEL, users=["u99"])
+            plan_sweep(small_synth, _fast_cfg(), sizes=(2,),
+                       model_template=TINY_MODEL, users=["u99"])
 
     def test_repeated_user_rejected(self, small_synth):
         with pytest.raises(ConfigError, match="repeat"):
-            sweep_training_size(small_synth, _fast_cfg(), sizes=(2,),
-                                model_template=TINY_MODEL, users=["u01", "u01"])
+            plan_sweep(small_synth, _fast_cfg(), sizes=(2,),
+                       model_template=TINY_MODEL, users=["u01", "u01"])
 
     def test_repeated_size_rejected(self, small_synth):
         with pytest.raises(ConfigError, match="sizes repeat"):
-            sweep_training_size(small_synth, _fast_cfg(), sizes=(2, 2),
-                                model_template=TINY_MODEL, users=["u01"])
+            plan_sweep(small_synth, _fast_cfg(), sizes=(2, 2),
+                       model_template=TINY_MODEL, users=["u01"])
 
-    def test_each_point_fits_zscore_on_its_subsample(self, small_synth, monkeypatch):
+    def test_each_point_fits_zscore_on_its_subsample(self, small_synth, monkeypatch, sweep):
         from hapticauth import trainer
         fitted = []
 
@@ -526,11 +544,10 @@ class TestSweep:
             return zscore_fit(seqs)
 
         monkeypatch.setattr(trainer, "zscore_fit", spy)
-        sweep_training_size(small_synth, _fast_cfg(), sizes=(2, 5),
-                            model_template=TINY_MODEL, users=["u01"])
+        sweep(small_synth, _fast_cfg(), sizes=(2, 5), model_template=TINY_MODEL, users=["u01"])
         assert fitted == [2 * 2, 5 * 2]  # size x 2 tasks
 
-    def test_nan_names_sweep_model(self, small_synth, monkeypatch):
+    def test_nan_names_sweep_model(self, small_synth, monkeypatch, sweep):
         from hapticauth import trainer
 
         def poisoning_adam_step(params, grads, state, *args, **kwargs):
@@ -539,5 +556,4 @@ class TestSweep:
 
         monkeypatch.setattr(trainer, "adam_step", poisoning_adam_step)
         with pytest.raises(DataError, match=r"^model sweep-u01-2: "):
-            sweep_training_size(small_synth, _fast_cfg(), sizes=(2,),
-                                model_template=TINY_MODEL, users=["u01"])
+            sweep(small_synth, _fast_cfg(), sizes=(2,), model_template=TINY_MODEL, users=["u01"])
