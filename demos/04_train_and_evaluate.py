@@ -30,7 +30,7 @@ train_cfg = TrainConfig(learning_rate=1e-3, epochs=50, batch_size=16, seed=0,
 model_cfg = ModelConfig(d_model=32, num_heads=4, ffn_dim=32, num_layers=2, seq_len=64)
 
 t0 = time.time()
-uid_models = run_jobs(plan_experiment(dataset, "user-id", train_cfg, model_cfg))
+uid_models = list(run_jobs(plan_experiment(dataset, "user-id", train_cfg, model_cfg)))
 print(f"\nuser identification: {len(uid_models)} task-specific models "
       f"({time.time() - t0:.0f}s)")
 uid = evaluate_experiment(uid_models)
@@ -41,7 +41,7 @@ print(f"  per-user mean precision: "
       f"{ {u: round(p, 3) for u, p in uid.per_user.items()} }")
 
 t0 = time.time()
-task_models = run_jobs(plan_experiment(dataset, "task", train_cfg, model_cfg))
+task_models = list(run_jobs(plan_experiment(dataset, "task", train_cfg, model_cfg)))
 print(f"\ntask classification: {len(task_models)} user-specific models "
       f"({time.time() - t0:.0f}s)")
 task = evaluate_experiment(task_models)

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -179,16 +180,16 @@ def cmd_train_experiment(args) -> int:
     out = _prepare_outdir(args.out, args.force)
     train_cfg = _train_config(args)
     template = _model_template(args, args.kind)
-    models = run_jobs(plan_experiment(dataset, args.kind, train_cfg, template), _workers())
+    jobs = plan_experiment(dataset, args.kind, train_cfg, template)
     # an earlier run's models must not be evaluated alongside this run's
     for stale in out.glob("*.ckpt"):
         stale.unlink()
-    for tm in models:
+    for tm in run_jobs(jobs, _workers()):
         save_trained(tm, out)
         final = tm.history.train_acc[-1]
         print(f"{tm.job.model_id}: train={len(tm.job.train_traces)} "
               f"test={len(tm.job.test_traces)} final_train_acc={final:.3f}")
-    print(f"wrote {len(models)} checkpoints to {out}")
+    print(f"wrote {len(jobs)} checkpoints to {out}")
     return 0
 
 
@@ -229,8 +230,9 @@ def cmd_sweep(args) -> int:
     plan = plan_sweep(dataset, train_cfg, sizes, template, users)
     columns = sorted(job.group for job in plan[0][1])
     lines = ["size,accuracy" + "".join(f",{u}" for u in columns)]
-    for size, jobs in plan:  # one point at a time: one model per user in memory
-        exp = evaluate_experiment(run_jobs(jobs, _workers()))
+    models = run_jobs([job for _, jobs in plan for job in jobs], _workers())  # one queue
+    for size, jobs in plan:  # each point is evaluated from its next models
+        exp = evaluate_experiment(islice(models, len(jobs)))
         lines.append(f"{size},{exp.mean_accuracy}"
                      + "".join(f",{exp.per_user[u]}" for u in columns))
         print(f"size {size:4d}: mean accuracy {exp.mean_accuracy:.4f}")

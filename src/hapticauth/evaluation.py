@@ -7,7 +7,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -77,10 +77,6 @@ class EvalReport:
     precision: np.ndarray       # (K,)
     config_digest: str = ""
 
-    @property
-    def total(self) -> int:
-        return int(self.matrix.sum())
-
     def to_dict(self) -> dict:
         return {
             "model": self.model_id,
@@ -136,7 +132,7 @@ class ExperimentReport:
         }
 
 
-def evaluate_experiment(models: Sequence["TrainedModel"]) -> ExperimentReport:
+def evaluate_experiment(models: Iterable["TrainedModel"]) -> ExperimentReport:
     """Score every model on its job's test split, featurized with the model's
     own normalization stats, and aggregate across models.
 
@@ -144,6 +140,7 @@ def evaluate_experiment(models: Sequence["TrainedModel"]) -> ExperimentReport:
     precision averaged over the per-task models; for the task experiment it
     is each user's accuracy on their own model.
     """
+    models = list(models)
     if not models:
         raise DataError("no models to evaluate")
     jobs = [m.job for m in models]

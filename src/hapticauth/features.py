@@ -78,9 +78,6 @@ class FeatureSequence:
         if not np.isfinite(v).all():
             raise ShapeError("feature sequence contains non-finite values")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def pipeline(trace: ForceTrace, target_len: int, stats: NormStats | None = None,
              label: int = -1) -> FeatureSequence:

@@ -68,10 +68,6 @@ class ModelConfig:
         if self.d_model % 2 != 0:
             raise ConfigError(f"d_model must be even for sinusoidal encodings, got {self.d_model}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.num_heads
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -15,7 +15,8 @@ import math
 import multiprocessing
 import numbers
 import os
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -65,9 +66,6 @@ class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     train_acc: list[float] = field(default_factory=list)
     lr: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.train_loss)
 
 
 @dataclass
@@ -315,37 +313,34 @@ def run_job(job: ModelJob) -> tuple[ModelParams, NormStats | None, TrainHistory]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _in_workers(fn, items: list, workers: int) -> list:
-    """[fn(item) for item in items] in `workers` spawned processes that each
-    run BLAS on one thread.  A child reads the thread variables when it
-    imports numpy, so they are set in this process's environment while the
-    pool starts its children, which it does as items are submitted, and
-    restored after; a forked child would inherit this process's threads."""
+def _in_workers(fn, items: list, workers: int) -> Iterator:
+    """fn(item) for each item, in order, from `workers` spawned processes
+    that each run BLAS on one thread.  A child reads the thread variables as
+    it imports numpy, so they are set while map submits the items, which
+    starts the children; a forked child would inherit this process's
+    threads.  A failure cancels the items still queued."""
     saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as ex:
         try:
             os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-            futures = [ex.submit(fn, item) for item in items]
+            results = ex.map(fn, items)
         finally:
             for var, value in saved.items():
                 if value is None:
                     os.environ.pop(var, None)
                 else:
                     os.environ[var] = value
-        # raise the first failure without starting the items still queued
-        wait(futures, return_when=FIRST_EXCEPTION)
-        ex.shutdown(cancel_futures=True)
-        return [f.result() for f in futures if not f.cancelled()]
+        yield from results
 
 
-def run_jobs(jobs: list[ModelJob], workers: int = 1) -> list[TrainedModel]:
-    """Train every job, in order; each worker sends back only what training
-    made.  The serial path keeps this process's BLAS threads."""
-    if workers <= 1 or len(jobs) <= 1:
-        results = [run_job(j) for j in jobs]
-    else:
-        results = _in_workers(run_job, jobs, workers)
-    return [TrainedModel(job, *made) for job, made in zip(jobs, results)]
+def run_jobs(jobs: list[ModelJob], workers: int = 1) -> Iterator[TrainedModel]:
+    """Each job's model, in job order, as soon as it and every job before it
+    are trained; each worker sends back only what training made.  The serial
+    path keeps this process's BLAS threads."""
+    made = (map(run_job, jobs) if workers <= 1 or len(jobs) <= 1
+            else _in_workers(run_job, jobs, workers))
+    # map, unlike zip or a generator, holds no reference to a model it yielded
+    return map(lambda job, m: TrainedModel(job, *m), jobs, made)
 
 
 # --- trained models on disk ----------------------------------------------------
@@ -439,8 +434,8 @@ def plan_sweep(dataset: TraceDataset, train_cfg: TrainConfig,
     Each user's split is fixed by the task experiment's plan.  A point's jobs
     are every user's task job trained, z-score stats included, on `size` of
     its train trials per class and scored on its fixed test split, so the
-    curve is comparable across sizes.  Running and evaluating one point at a
-    time holds at most one model per user in memory.
+    curve is comparable across sizes.  Evaluating each point as its models
+    arrive holds one model per user in memory, plus any that finished ahead.
     """
     if not sizes:
         raise ConfigError("sweep needs at least one size")

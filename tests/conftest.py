@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -28,9 +30,11 @@ def small_synth():
 
 @pytest.fixture(scope="session")
 def sweep():
-    """The sweep as the sweep command runs it: each point's plan_sweep jobs
-    through run_jobs and evaluate_experiment, as {size: ExperimentReport}."""
-    def run(dataset, train_cfg, **plan_kwargs):
-        return {size: evaluate_experiment(run_jobs(jobs))
-                for size, jobs in plan_sweep(dataset, train_cfg, **plan_kwargs)}
+    """The sweep as the sweep command runs it: every point's plan_sweep jobs
+    through one run_jobs call on `workers` processes, each point evaluated
+    from its next models, as {size: ExperimentReport}."""
+    def run(dataset, train_cfg, workers=1, **plan_kwargs):
+        plan = plan_sweep(dataset, train_cfg, **plan_kwargs)
+        models = run_jobs([job for _, jobs in plan for job in jobs], workers)
+        return {size: evaluate_experiment(islice(models, len(jobs))) for size, jobs in plan}
     return run

@@ -111,7 +111,7 @@ def test_protocol_shape_conformance():
                       train_per_class=100, test_per_class=20)
     tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=2, seq_len=16)
 
-    uid_models = run_jobs(plan_experiment(dataset, "user-id", cfg, tiny))
+    uid_models = list(run_jobs(plan_experiment(dataset, "user-id", cfg, tiny)))
     assert len(uid_models) == 7
     for tm in uid_models:
         assert len(tm.job.train_traces) == 1500
@@ -122,9 +122,9 @@ def test_protocol_shape_conformance():
     uid_exp = evaluate_experiment(uid_models)
     assert len(uid_exp.reports) == 7
     assert len(uid_exp.per_user) == 15          # per-user precision averaged over tasks
-    assert all(r.total == 300 for r in uid_exp.reports)
+    assert all(int(r.matrix.sum()) == 300 for r in uid_exp.reports)
 
-    task_models = run_jobs(plan_experiment(dataset, "task", cfg, tiny))
+    task_models = list(run_jobs(plan_experiment(dataset, "task", cfg, tiny)))
     assert len(task_models) == 15
     for tm in task_models:
         assert len(tm.job.train_traces) == 700
@@ -134,7 +134,7 @@ def test_protocol_shape_conformance():
                     & {tr.key for tr in tm.job.test_traces})
     task_exp = evaluate_experiment(task_models)
     assert len(task_exp.reports) == 15
-    assert all(r.total == 140 for r in task_exp.reports)
+    assert all(int(r.matrix.sum()) == 140 for r in task_exp.reports)
     elapsed = time.perf_counter() - start
     print(f"\n[ACCEPTANCE] protocol-shape-conformance: PASS (7x1500/300, 15x700/140, "
           f"disjoint, aggregates 7+15; {elapsed:.1f}s)")
@@ -142,10 +142,11 @@ def test_protocol_shape_conformance():
 
 def test_synthetic_separability_benchmark(benchmark_dataset):
     start = time.perf_counter()
-    uid_models = run_jobs(plan_experiment(benchmark_dataset, "user-id", BENCH_TRAIN, BENCH_MODEL))
-    uid_report = evaluate_experiment(uid_models)
-    task_models = run_jobs(plan_experiment(benchmark_dataset, "task", BENCH_TRAIN, BENCH_MODEL))
-    task_report = evaluate_experiment(task_models)
+    # two workers train the models a serial run trains, byte for byte
+    uid_jobs = plan_experiment(benchmark_dataset, "user-id", BENCH_TRAIN, BENCH_MODEL)
+    uid_report = evaluate_experiment(run_jobs(uid_jobs, workers=2))
+    task_jobs = plan_experiment(benchmark_dataset, "task", BENCH_TRAIN, BENCH_MODEL)
+    task_report = evaluate_experiment(run_jobs(task_jobs, workers=2))
     elapsed = time.perf_counter() - start
     assert uid_report.mean_accuracy >= 0.90, f"user-id accuracy {uid_report.mean_accuracy}"
     assert task_report.mean_accuracy >= 0.90, f"task accuracy {task_report.mean_accuracy}"
@@ -177,7 +178,7 @@ def test_sweep_behavior(sweep):
                                         trials_per_task=120, seed=21))
     cfg = TrainConfig(learning_rate=1e-3, epochs=50, batch_size=16, seed=0,
                       train_per_class=100, test_per_class=20)
-    curve = sweep(dataset, cfg, model_template=BENCH_MODEL, users=["u01"])
+    curve = sweep(dataset, cfg, workers=2, model_template=BENCH_MODEL, users=["u01"])
     elapsed = time.perf_counter() - start
     assert list(curve) == list(range(5, 101, 5))
     acc = {size: exp.mean_accuracy for size, exp in curve.items()}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hapticauth import cli, trainer
 from hapticauth.cli import main
 from hapticauth.dataset import DatasetManifest, load_dataset
-from hapticauth.model import ModelConfig, build_model, save_checkpoint
+from hapticauth.errors import DataError
+from hapticauth.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
 
 from oracles import ema_recurrence
 
@@ -497,10 +499,11 @@ class TestSweep:
 
 class TestWorkers:
     def test_one_worker_per_usable_core(self, dataset_dir, tmp_path, monkeypatch):
+        # each command is one run_jobs call; the sweep's queues every point, size by size
         seen = []
 
         def spy(jobs, workers=1):
-            seen.append(workers)
+            seen.append((workers, [job.model_id for job in jobs]))
             return trainer.run_jobs(jobs)
 
         monkeypatch.setattr(cli, "run_jobs", spy)
@@ -509,7 +512,53 @@ class TestWorkers:
                      "--out", str(tmp_path / "ckpt")] + TINY_FLAGS) == 0
         assert main(["sweep", "--manifest", manifest, "--out", str(tmp_path / "c.csv"),
                      "--sizes", "2,3"] + TINY_FLAGS) == 0
-        assert seen == [len(os.sched_getaffinity(0))] * 3
+        cores = len(os.sched_getaffinity(0))
+        assert seen == [(cores, ["task_user-u01", "task_user-u02"]),
+                        (cores, ["sweep-u01-2", "sweep-u02-2", "sweep-u01-3", "sweep-u02-3"])]
+
+    def test_sweep_frees_each_point_before_the_next(self, dataset_dir, tmp_path, monkeypatch):
+        # on one core the models train in this process, where a weak reference
+        # shows whether an earlier point's weights are still held
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        evaluate, points, alive = cli.evaluate_experiment, [], []
+
+        def spy(models):
+            alive.append(sum(ref() is not None for refs in points for ref in refs))
+            models = list(models)
+            points.append([weakref.ref(t.data) for tm in models for _, t in tm.params.items()])
+            return evaluate(models)
+
+        monkeypatch.setattr(cli, "evaluate_experiment", spy)
+        assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "c.csv"), "--sizes", "1,2,3"] + TINY_FLAGS) == 0
+        assert len(points) == 3 and all(points)
+        assert alive == [0, 0, 0]
+
+    def test_failed_job_leaves_the_checkpoints_before_it(self, dataset_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        # a forced run drops the earlier run's checkpoints, saves each model as
+        # it arrives and stops at the first job that fails
+        out = tmp_path / "ckpt"
+        run = ["train-experiment", "--manifest", str(dataset_dir / "manifest.json"),
+               "--kind", "task", "--out", str(out)] + TINY_FLAGS
+        assert main(run) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        train, calls = trainer.train, []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DataError("injected")
+            return train(*args)
+
+        monkeypatch.setattr(trainer, "train", second_fails)
+        capsys.readouterr()
+        assert main(run + ["--force", "--seed", "9"]) == 3
+        assert [p.name for p in out.iterdir()] == ["task_user-u01.ckpt"]
+        assert load_checkpoint(out / "task_user-u01.ckpt")[1]["train_cfg"]["seed"] == 9
+        captured = capsys.readouterr()
+        assert captured.out.startswith("task_user-u01: ")
+        assert "model task_user-u02: injected" in captured.err
 
     def test_workers_flag_is_gone(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -528,6 +577,79 @@ class TestWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert digests(tmp_path / "one") == every_core
         assert len(every_core) == 2
+
+
+def _filtered_of_raw_manifest(data, tmp):
+    return ["train-experiment", "--manifest", str(data / "manifest.json"), "--kind", "task",
+            "--variant", "filtered", "--out", str(tmp / "ck")] + TINY_FLAGS
+
+
+def _missing_checkpoint_dir(data, tmp):
+    return ["eval-experiment", "--checkpoints", str(tmp / "none"),
+            "--manifest", str(data / "manifest.json"), "--out", str(tmp / "rep")]
+
+
+def _sweep_onto_existing_file(data, tmp):
+    (tmp / "curve.csv").write_text("earlier\n")
+    return ["sweep", "--manifest", str(data / "manifest.json"), "--out", str(tmp / "curve.csv"),
+            "--sizes", "2", "--users", "u01"] + TINY_FLAGS
+
+
+def _sweep_size_zero(data, tmp):
+    return ["sweep", "--manifest", str(data / "manifest.json"), "--out", str(tmp / "c.csv"),
+            "--sizes", "0,2", "--users", "u01"] + TINY_FLAGS
+
+
+def _filter_manifest_not_json(data, tmp):
+    (data / "manifest.json").write_text("{not json")
+    return ["filter", "--manifest", str(data / "manifest.json"), "--out", str(tmp / "f")]
+
+
+def _filter_smoothed_entry(data, tmp):
+    path = data / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["entries"][0]["variant"] = "smoothed"
+    path.write_text(json.dumps(doc))
+    return ["filter", "--manifest", str(path), "--out", str(tmp / "f")]
+
+
+def _eval_over_unreadable_aggregate(data, tmp):
+    manifest, ckpt, reports = str(data / "manifest.json"), tmp / "ck", tmp / "rep"
+    assert main(["train-experiment", "--manifest", manifest, "--kind", "task",
+                 "--out", str(ckpt)] + TINY_FLAGS) == 0
+    reports.mkdir()
+    (reports / "aggregate.json").write_text("{not json")
+    (reports / "task_user-u01.json").write_text("{}")
+    return ["eval-experiment", "--checkpoints", str(ckpt), "--manifest", manifest,
+            "--out", str(reports), "--force"]
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("setup, code, message", [
+        pytest.param(_filtered_of_raw_manifest, 3, "manifest has no 'filtered' entries",
+                     id="train-filtered-of-raw"),
+        pytest.param(_missing_checkpoint_dir, 3, "checkpoint directory not found",
+                     id="eval-missing-checkpoints"),
+        pytest.param(_sweep_onto_existing_file, 2, "exists (use --force to overwrite)",
+                     id="sweep-existing-out"),
+        pytest.param(lambda data, tmp: synth_args(tmp / "s", tasks=27), 2,
+                     "--tasks must be in [1, 26]", id="synth-27-tasks"),
+        pytest.param(_sweep_size_zero, 2, "sweep sizes must be >= 1", id="sweep-size-0"),
+        pytest.param(_filter_manifest_not_json, 3, "manifest is not valid JSON",
+                     id="filter-manifest-not-json"),
+        pytest.param(_filter_smoothed_entry, 3, "bad variant 'smoothed'",
+                     id="filter-smoothed-entry"),
+        pytest.param(_eval_over_unreadable_aggregate, 3, "cannot tell which reports",
+                     id="eval-unreadable-aggregate"),
+    ])
+    def test_exit_code_and_message(self, setup, code, message, dataset_dir, tmp_path, capsys):
+        # an error exit names its cause and leaves every file as it was
+        argv = setup(dataset_dir, tmp_path)
+        before = read_tree(tmp_path), sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert (read_tree(tmp_path), sorted(tmp_path.rglob("*"))) == before
 
 
 class TestOutputPaths:

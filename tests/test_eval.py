@@ -142,7 +142,7 @@ class TestEvaluate:
         params = build_model(TINY, seed=6)
         test_set = seqs_for(params, 30, seed=6)
         report = evaluate_model(params, test_set, ["a", "b", "c"], model_id="m")
-        assert report.total == 30
+        assert int(report.matrix.sum()) == 30
         acc_oracle, prec_oracle = accuracy_precision(report.matrix)
         assert report.accuracy == pytest.approx(acc_oracle)
         np.testing.assert_allclose(report.precision, prec_oracle)
@@ -152,7 +152,7 @@ class TestEvaluate:
                           train_per_class=5, test_per_class=2)
         tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1,
                            num_classes=2, seq_len=16)
-        models = run_jobs(plan_experiment(small_synth, "task", cfg, tiny))
+        models = list(run_jobs(plan_experiment(small_synth, "task", cfg, tiny)))
         exp = evaluate_experiment(models)
         assert exp.kind == "task"
         assert len(exp.reports) == 3
@@ -173,8 +173,8 @@ class TestEvaluate:
                           train_per_class=5, test_per_class=2)
         tiny = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=1,
                            num_classes=2, seq_len=16)
-        a = run_jobs(plan_experiment(small_synth, "task", cfg, tiny))
-        b = run_jobs(plan_experiment(small_synth, "user-id", cfg, tiny))
+        a = list(run_jobs(plan_experiment(small_synth, "task", cfg, tiny)))
+        b = list(run_jobs(plan_experiment(small_synth, "user-id", cfg, tiny)))
         with pytest.raises(DataError):
             evaluate_experiment(a + b)
 

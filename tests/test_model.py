@@ -75,10 +75,6 @@ TINY = ModelConfig(d_model=16, num_heads=2, ffn_dim=16, num_layers=2, num_classe
 
 
 class TestModelConfig:
-    def test_head_dim(self):
-        cfg = ModelConfig(d_model=256, num_heads=16, num_classes=7)
-        assert cfg.head_dim == 16
-
     def test_not_divisible(self):
         with pytest.raises(ConfigError):
             ModelConfig(d_model=250, num_heads=16, num_classes=7)

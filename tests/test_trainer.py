@@ -226,7 +226,7 @@ class TestTrain:
         seqs = toy_set()
         cfg = TrainConfig(epochs=5, batch_size=4, seed=1)
         _, hist = train(cfg, TINY_MODEL, seqs)
-        assert len(hist) == 5
+        assert len(hist.train_loss) == 5
         assert hist.lr[0] == pytest.approx(1e-4)
         assert hist.lr[-1] == pytest.approx(0.0, abs=1e-20)
 
@@ -317,7 +317,7 @@ def _fast_cfg(**kw):
 
 
 def _train(dataset, kind, cfg):
-    return run_jobs(plan_experiment(dataset, kind, cfg, TINY_MODEL))
+    return list(run_jobs(plan_experiment(dataset, kind, cfg, TINY_MODEL)))
 
 
 def _mark_start(item):
@@ -406,8 +406,8 @@ class TestExperimentFactories:
 
     def test_parallel_workers_match_serial(self, small_synth):
         jobs = plan_experiment(small_synth, "task", _fast_cfg(), TINY_MODEL)
-        serial = run_jobs(jobs)
-        parallel = run_jobs(jobs, workers=2)
+        serial = list(run_jobs(jobs))
+        parallel = list(run_jobs(jobs, workers=2))
         assert len(serial) == len(parallel) == len(jobs)
         for job, a, b in zip(jobs, serial, parallel):
             assert a.job is job and b.job is job
@@ -421,7 +421,7 @@ class TestExperimentFactories:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        seen = trainer._in_workers(os.getenv, list(trainer.BLAS_THREAD_VARS) * 2, workers=2)
+        seen = list(trainer._in_workers(os.getenv, list(trainer.BLAS_THREAD_VARS) * 2, workers=2))
         assert seen == ["1"] * 6
         assert os.environ["OPENBLAS_NUM_THREADS"] == os.environ["OMP_NUM_THREADS"] == "2"
         assert "MKL_NUM_THREADS" not in os.environ
@@ -431,7 +431,7 @@ class TestExperimentFactories:
         # 2 workers, only those already handed to a worker may start
         items = [(i, str(tmp_path)) for i in range(10)]
         with pytest.raises(ValueError, match="item 0 failed"):
-            trainer._in_workers(_mark_start, items, workers=2)
+            list(trainer._in_workers(_mark_start, items, workers=2))
         assert len(list(tmp_path.iterdir())) < len(items)
 
 
@@ -488,7 +488,7 @@ class TestTrainedModelFile:
                 [(n, t.data.dtype, t.data.tobytes()) for n, t in tm.params.items()]
             for got, want in ((back.stats.mean, tm.stats.mean), (back.stats.std, tm.stats.std)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert back.history == tm.history and len(back.history) == 2
+            assert back.history == tm.history and len(back.history.train_loss) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted(f"{tm.job.model_id}.ckpt" for tm in models)
 
