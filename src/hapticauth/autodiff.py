@@ -4,7 +4,8 @@ Tensors wrap numpy arrays (float32 for training; float64 for gradient
 verification).  Each op attaches a backward closure to its output when any
 input participates in the gradient graph; ``backward`` walks the recorded
 graph once in reverse topological order and accumulates gradients
-additively across fan-out.
+additively across fan-out.  It frees the graph as it goes, so a graph can be
+backpropagated once.
 
 The model's layers and loss are fused ops with hand-written backwards in
 ``model.py``; the generic ops here are only those something calls: ``mul``
@@ -33,7 +34,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once backward has run
         self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -105,7 +106,13 @@ def tsum(a: Tensor) -> Tensor:
 # --- backward pass -----------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every tensor the scalar loss depends on."""
+    """Populate .grad for every leaf the scalar loss depends on.
+
+    Each op node lets go of its closure (and with it the arrays its op saved),
+    its parents and its gradient once its backward has run, so a step holds
+    only what backward still needs.  Leaves keep .grad, and no node's .data
+    is touched.  A freed node's parents are None, which no live node has: a
+    second backward through it raises instead of adding nothing."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
 
@@ -120,6 +127,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise RuntimeError("backward reached a node of a graph that was already "
+                               "backpropagated; a graph can be backpropagated once")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -127,9 +137,13 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:  # a leaf
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node._backward = node._parents = node.grad = None
 
 
 # --- finite-difference verification ------------------------------------------

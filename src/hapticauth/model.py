@@ -29,7 +29,7 @@ from .dataset import atomic_write
 from .errors import ConfigError, DataError, ShapeError
 from .features import NUM_FEATURES
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # elements in one (heads, query rows, L) attention score tile: 1 MB of
 # float32, so a tile stays in a 2 MB per-core L2 cache
 SCORE_BLOCK = 2 ** 18
@@ -194,11 +194,13 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     the score GEMM reads no transposed view.  The scores are computed in
     tiles of QUERY_TILE query rows (all L rows when L is shorter) of as many
     heads as fit SCORE_BLOCK elements, each tile into one reused scratch
-    block.  Training and inference run the same forward; it keeps only
-    [q | -m] and 1/l, and backward recomputes each tile's e with the same
-    GEMM and exp2 (the FlashAttention backward), so no (B, h, L, L) tensor
-    is allocated.  dk and dv add up over a head's tiles in tile order, so
-    no result depends on the BLAS thread count."""
+    block.  Training and inference run the same forward.  For backward it
+    keeps [q | -m], [k | 1]^T, [v | 1], 1/l, the context in token layout and
+    the score block, but not the (B·h, L, dh + 1) numerator, and backward
+    recomputes each tile's e with the same GEMM and exp2 (the FlashAttention
+    backward), so no (B, h, L, L) tensor is allocated.  dk and dv add up
+    over a head's tiles in tile order, so no result depends on the BLAS
+    thread count."""
     if x.data.ndim != 3:
         raise ShapeError(f"mhsa expects (B, L, d) input, got {x.shape}")
     bsz, length, d = x.shape
@@ -257,6 +259,7 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     ctx = num[..., :head_dim]
     ctx *= inv_l
     ctx_flat = ctx.reshape(bsz, num_heads, length, head_dim).transpose(0, 2, 1, 3).reshape(bsz * length, d)
+    del num, ctx  # before the output GEMM; backward reads the context from ctx_flat
     out_data = (ctx_flat @ wo.data).reshape(bsz, length, d)
 
     def backward_fn(g):
@@ -266,8 +269,12 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         # p = e / l, which is e * (a @ [v | 1]^T) for a = [dctx | -rowsum] / l
         a = np.empty_like(v1)
         dctx = a[..., :head_dim]
-        heads(g @ wo.data.T, a)
-        a[..., head_dim] = -np.einsum("nld,nld->nl", dctx, ctx)
+        dctx_tok = (g @ wo.data.T).reshape(bsz, length, num_heads, head_dim)
+        heads(dctx_tok, a)
+        # the row term in token layout, as the forward's numerator is gone
+        a[..., head_dim] = -np.einsum("blhd,blhd->bhl", dctx_tok,
+                                      ctx_flat.reshape(dctx_tok.shape)).reshape(n, length)
+        del dctx_tok
         a *= inv_l
         vt = np.ascontiguousarray(v1.transpose(0, 2, 1))  # [v | 1]^T
         dqkv = np.empty((3, bsz, num_heads, length, head_dim), dtype=dtype)
@@ -288,8 +295,10 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
             if not first:
                 dk[hs] += dk_t
                 dv[hs] += dv_t
+        del a, dctx, vt, ds_block, ds, part, dk_t, dv_t
         dq *= dtype.type(scale)
         dk *= dtype.type(math.log(2))  # q holds log2(e), so ds^T @ q is dk / ln 2
+        del dq, dk, dv  # so the head layout dies once it is copied
         dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(bsz * length, 3 * d)  # [dq | dk | dv]
         dw = x_flat.T @ dqkv
         for i, w in enumerate((wq, wk, wv)):
@@ -364,15 +373,21 @@ def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out_data += beta.data
 
     def backward_fn(g):
+        # two full-size buffers: dxhat becomes dsum in place, and tmp holds
+        # each product in turn (g2 is a copy when g is mean's broadcast view)
         g2 = g.reshape(-1, d)
         ad._accumulate(beta, g2.sum(axis=0))
-        ad._accumulate(gamma, (g2 * xhat.reshape(-1, d)).sum(axis=0))
+        tmp = g2 * xhat.reshape(-1, d)
+        ad._accumulate(gamma, tmp.sum(axis=0))
+        del g2
+        tmp = tmp.reshape(xhat.shape)
         dxhat = g * gamma.data
-        dsum = dxhat - dxhat.mean(axis=-1, keepdims=True)
-        dsum -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dsum *= inv_std
-        ad._accumulate(x, dsum)
-        ad._accumulate(y, dsum)
+        mean_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).mean(axis=-1, keepdims=True)
+        dxhat -= dxhat.mean(axis=-1, keepdims=True)
+        dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+        dxhat *= inv_std
+        ad._accumulate(x, dxhat)
+        ad._accumulate(y, dxhat)
 
     return _make(out_data, (x, y, gamma, beta), backward_fn)
 

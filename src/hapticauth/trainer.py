@@ -192,7 +192,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
             adam_step(params, grads, state, lr)
             loss_sum += float(loss.data) * len(idx)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
-            del logits, loss  # else this step's graph lives on through the next forward
+            del logits, loss  # else this step's logits live on through the next forward
         history.train_loss.append(loss_sum / n)
         history.train_acc.append(correct / n)
         history.lr.append(lr)
@@ -235,9 +235,14 @@ class ModelJob:
 
     @property
     def split_digest(self) -> str:
-        """sha256 over the ordered train and test trace keys."""
-        keys = [[tr.key for tr in self.train_traces], [tr.key for tr in self.test_traces]]
-        return hashlib.sha256(json.dumps(keys, separators=(",", ":")).encode()).hexdigest()
+        """sha256 over the train then the test traces, in split order: each
+        trace's key and sample count, then its timestamp and force bytes."""
+        h = hashlib.sha256(json.dumps([len(self.train_traces), len(self.test_traces)]).encode())
+        for tr in (*self.train_traces, *self.test_traces):
+            h.update(json.dumps([*tr.key, len(tr.timestamps)]).encode())
+            h.update(np.ascontiguousarray(tr.timestamps, dtype="<f4"))
+            h.update(np.ascontiguousarray(tr.forces, dtype="<f4"))
+        return h.hexdigest()
 
 
 def plan_job(dataset: TraceDataset, kind: str, group: str, class_labels,
@@ -403,7 +408,7 @@ def load_trained(dataset: TraceDataset, path: Path | str) -> TrainedModel:
         raise DataError(f"checkpoint {path}: {exc}") from None
     if meta.get("split_digest") != job.split_digest:
         raise DataError(f"model {job.model_id}: {path} records no split digest, or the digest "
-                        f"of another split than this manifest gives its group")
+                        f"of another split or other trace data than this manifest gives its group")
     return TrainedModel(job, params, stats, TrainHistory(**hist))
 
 

@@ -110,6 +110,19 @@ class TestBackward:
         backward(ad.tsum(ad.mul(x, t64(np.full(3, 2.0), grad=False))))
         np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
 
+    def test_second_backward_through_a_graph_raises(self):
+        # backward frees each node once it has run; a second pass through
+        # one must not silently add nothing
+        x = t64(np.arange(3.0))
+        y = ad.mul(x, x)
+        loss = ad.tsum(y)
+        backward(loss)
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            backward(loss)
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            backward(ad.tsum(ad.mul(y, y)))  # a new graph through the freed y
+        np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
+
     def test_non_scalar_loss_rejected(self):
         x = t64(np.ones((2, 2)))
         with pytest.raises(ShapeError):

@@ -242,6 +242,23 @@ class TestTrainEval:
                                 "--out", str(tmp_path / "r6")]) == 3
         assert "model task_user-u01" in capsys.readouterr().err
 
+    def test_eval_rejects_another_corpus_under_the_same_keys(self, tmp_path, capsys):
+        # seeds 0 and 1 at the same sizes list the same keys, so their
+        # manifests are the same bytes; only the traces' bytes tell them apart
+        d0, d1, ckpt = tmp_path / "d0", tmp_path / "d1", tmp_path / "ck"
+        for out, seed in ((d0, 0), (d1, 1)):
+            assert main(synth_args(out, trials=6, seed=seed)) == 0
+        assert (d0 / "manifest.json").read_bytes() == (d1 / "manifest.json").read_bytes()
+        assert main(["train-experiment", "--manifest", str(d0 / "manifest.json"),
+                     "--kind", "task", "--out", str(ckpt)] + TINY_FLAGS) == 0
+        evaluate = ["eval-experiment", "--checkpoints", str(ckpt), "--force"]
+        assert main(evaluate + ["--manifest", str(d0 / "manifest.json"),
+                                "--out", str(tmp_path / "r0")]) == 0
+        capsys.readouterr()
+        assert main(evaluate + ["--manifest", str(d1 / "manifest.json"),
+                                "--out", str(tmp_path / "r1")]) == 3
+        assert "task_user-u01.ckpt" in capsys.readouterr().err
+
     def test_eval_rejects_checkpoint_without_job_fields(self, dataset_dir, tmp_path, capsys):
         ckpt = tmp_path / "ck"
         ckpt.mkdir()
@@ -400,7 +417,8 @@ class TestTrainEval:
 
     def test_force_retrain_drops_earlier_runs_checkpoints(self, tmp_path):
         # a 3-user run, then a 2-user run forced into the same directory:
-        # evaluation must see only the second run's two models
+        # evaluation must see only the second run's two models (a left-over
+        # u03 model has no group in the 2-user corpus, which exits 3)
         d3, d2, ckpt, reports = (tmp_path / n for n in ("d3", "d2", "ck", "rep"))
         assert main(synth_args(d3, users=3)) == 0
         assert main(synth_args(d2, users=2)) == 0
@@ -410,7 +428,7 @@ class TestTrainEval:
         assert sorted(p.name for p in ckpt.iterdir()) == ["task_user-u01.ckpt",
                                                           "task_user-u02.ckpt"]
         assert main(["eval-experiment", "--checkpoints", str(ckpt),
-                     "--manifest", str(d3 / "manifest.json"), "--out", str(reports)]) == 0
+                     "--manifest", str(d2 / "manifest.json"), "--out", str(reports)]) == 0
         agg = json.loads((reports / "aggregate.json").read_text())
         assert [m["model"] for m in agg["models"]] == ["task_user-u01", "task_user-u02"]
 

@@ -307,6 +307,28 @@ class TestMhsa:
             tracemalloc.stop()
         assert peak < bsz * h * length * length * 4 / 4, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_recorded_forward_keeps_only_what_backward_reads(self):
+        # backward reads [q | -m], [k | 1]^T, [v | 1], 1/l, the token-layout
+        # context and the score block; the (B·h, L, dh + 1) numerator dies in
+        # the forward
+        rng = np.random.default_rng(6)
+        bsz, length, d, h = 2, 256, 64, 4
+        n, dh = bsz * h, d // h
+        x = Tensor(rng.normal(size=(bsz, length, d)).astype(np.float32), requires_grad=True)
+        ws = [Tensor((rng.normal(size=(d, d)) / math.sqrt(d)).astype(np.float32), requires_grad=True)
+              for _ in range(4)]
+        tracemalloc.start()
+        try:
+            out = mhsa(x, *ws, h)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = min(QUERY_TILE, length)
+        score_block = min(n, SCORE_BLOCK // (rows * length)) * rows * length
+        read = 4 * (3 * n * length * (dh + 1) + n * length + bsz * length * d + score_block)
+        num = 4 * n * length * (dh + 1)
+        assert held - out.data.nbytes < read + num / 2, f"held {held} B, backward reads {read} B"
+
     def test_one_graph_node(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32), requires_grad=True)
@@ -346,6 +368,28 @@ class TestForward:
                 nodes += t._backward is not None
                 stack.extend(t._parents)
         assert nodes == 4 + 4 * num_layers
+
+    def test_backward_leaves_only_parameter_gradients(self):
+        # backward frees each node's saved arrays and gradient once it has
+        # run, so with logits and loss still held the step keeps the
+        # parameters' gradients and little else; a held graph would keep
+        # ~6.7 MB of activations here
+        cfg = ModelConfig(d_model=32, num_heads=4, ffn_dim=32, num_classes=3, seq_len=128)
+        params = build_model(cfg, seed=1)
+        batch = np.random.default_rng(1).normal(size=(8, cfg.seq_len, 13)).astype(np.float32)
+        labels = np.arange(8) % 3
+        forward(params.detached(), batch)  # caches the positional table outside the trace
+        tracemalloc.start()
+        try:
+            logits = forward(params, batch)
+            loss = cross_entropy(logits, labels)
+            ad.backward(loss)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grads = sum(t.grad.nbytes for _, t in params.items())
+        assert logits.data.shape == (8, 3) and np.isfinite(loss.data)
+        assert held < grads + 32 * 1024, f"held {held} B, gradients {grads} B"
 
     def test_nan_ffn_weight_reaches_loss(self):
         params = build_model(TINY, seed=0)
@@ -544,7 +588,7 @@ class TestCheckpoint:
         raw = path.read_bytes()
         nl = raw.find(b"\n")
         header = json.loads(raw[:nl])
-        assert header["format_version"] == CHECKPOINT_VERSION == 4
+        assert header["format_version"] == CHECKPOINT_VERSION == 5
         assert set(header) == {"format_version", "config", "extras", "meta"}
         assert header["extras"] == [["norm.mean", [13]], ["norm.std", [13]]]
         assert set(header["config"]) == {"d_model", "num_heads", "ffn_dim", "num_layers",
