@@ -22,7 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .dataset import (
-    VARIANTS,
     DatasetManifest,
     SynthConfig,
     TraceDataset,
@@ -103,16 +102,9 @@ def _prepare_outfile(path_str: str | None, force: bool) -> Path:
     return out
 
 
-def _load(manifest_path: str, variant: str | None = None) -> TraceDataset:
-    """The manifest's dataset, read relative to the manifest's directory;
-    given a variant, only that variant's traces, of which there must be some."""
-    dataset = load_dataset(DatasetManifest.load(manifest_path), Path(manifest_path).parent)
-    if variant is None:
-        return dataset
-    dataset = dataset.subset(variant=variant)
-    if len(dataset) == 0:
-        raise DataError(f"manifest has no {variant!r} entries")
-    return dataset
+def _load(manifest_path: str) -> TraceDataset:
+    """The manifest's dataset, read relative to the manifest's directory."""
+    return load_dataset(DatasetManifest.load(manifest_path), Path(manifest_path).parent)
 
 
 # --- synth ---------------------------------------------------------------
@@ -140,7 +132,10 @@ def cmd_synth(args) -> int:
 def cmd_filter(args) -> int:
     if not (0.0 < args.alpha <= 1.0):
         raise ConfigError(f"--alpha must be in (0, 1], got {args.alpha}")
-    raw = _load(args.manifest, "raw")
+    raw = _load(args.manifest)
+    variants = sorted({tr.variant for tr in raw} - {"raw"})
+    if variants:
+        raise DataError(f"filter reads a raw manifest; this one holds {variants} traces")
     out = _prepare_outdir(args.out, args.force)
     save_dataset(TraceDataset(filter_trace(tr, args.alpha) for tr in raw), out)
     print(f"filtered {len(raw)} traces (alpha={args.alpha}) into {out}")
@@ -176,11 +171,10 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train_experiment(args) -> int:
-    dataset = _load(args.manifest, args.variant)
+    dataset = _load(args.manifest)
+    jobs = plan_experiment(dataset, args.kind, _train_config(args),
+                           _model_template(args, args.kind))
     out = _prepare_outdir(args.out, args.force)
-    train_cfg = _train_config(args)
-    template = _model_template(args, args.kind)
-    jobs = plan_experiment(dataset, args.kind, train_cfg, template)
     # an earlier run's models must not be evaluated alongside this run's
     for stale in out.glob("*.ckpt"):
         stale.unlink()
@@ -222,7 +216,7 @@ def cmd_sweep(args) -> int:
             sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError:
             raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
-    dataset = _load(args.manifest, args.variant)
+    dataset = _load(args.manifest)
     users = [u.strip() for u in args.users.split(",") if u.strip()] if args.users else None
     out = _prepare_outfile(args.out, args.force)
     train_cfg = _train_config(args)
@@ -235,8 +229,8 @@ def cmd_sweep(args) -> int:
         exp = evaluate_experiment(islice(models, len(jobs)))
         lines.append(f"{size},{exp.mean_accuracy}"
                      + "".join(f",{exp.per_user[u]}" for u in columns))
+        atomic_write_text(out, "\n".join(lines) + "\n")  # a failed sweep keeps its finished rows
         print(f"size {size:4d}: mean accuracy {exp.mean_accuracy:.4f}")
-    atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {len(plan)}-row curve to {out}")
     return 0
 
@@ -337,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-experiment", help="train the per-task or per-user model set")
     p.add_argument("--manifest", required=True)
     p.add_argument("--kind", choices=list(EXPERIMENT_FIELDS), required=True)
-    p.add_argument("--variant", choices=VARIANTS, default="raw")
     p.add_argument("--out", default=default_out)
     p.add_argument("--force", action="store_true")
     _add_train_flags(p)
@@ -356,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     sizes = DEFAULT_SWEEP_SIZES
     p.add_argument("--sizes", default=None, help="comma-separated sizes "
                    f"(default {sizes[0]}..{sizes[-1]} step {sizes[1] - sizes[0]})")
-    p.add_argument("--variant", choices=VARIANTS, default="raw")
     p.add_argument("--users", default=None, help="restrict to these users (comma-separated)")
     p.add_argument("--force", action="store_true")
     _add_train_flags(p)

@@ -68,6 +68,9 @@ class ForceTrace:
             raise TraceOrderingError("timestamps must strictly increase")
         if self.variant not in VARIANTS:
             raise DataError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for label in (self.user_id, self.task_id):  # labels name trace, checkpoint and report files
+            if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+                raise DataError(f"label {label!r} cannot name a file")
         if self.trial_index < 0:
             raise DataError(f"trial_index must be >= 0, got {self.trial_index}")
         if not 0 < self.sample_rate < math.inf:  # a manifest takes its rate from its traces
@@ -138,8 +141,6 @@ def parse_trace_csv(
 
 def write_trace_csv(trace: ForceTrace) -> bytes:
     """Serialize a trace to CSV bytes; round-trips float32 values exactly."""
-    if len(trace) == 0:  # unreachable through the constructor, kept as a guard
-        raise EmptyTraceError("refusing to write an empty trace")
     # each value is repr() of the float32 widened to float64, e.g. 0.1f as
     # 0.10000000149011612: not float32's shortest digits, but they parse back bit-exactly
     cols = np.column_stack([trace.timestamps, trace.forces]).astype(np.float64)
@@ -178,9 +179,6 @@ class ManifestEntry:
     trial: int
     variant: str
 
-    def labels(self) -> tuple[str, str, int, str]:
-        return (self.user, self.task, self.trial, self.variant)
-
 
 @dataclass
 class DatasetManifest:
@@ -190,13 +188,12 @@ class DatasetManifest:
     sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        keys = [e.labels() for e in self.entries]
-        if len(set(keys)) != len(keys):
-            seen = set()
-            for k in keys:
-                if k in seen:
-                    raise DataError(f"duplicate manifest entry for {k}")
-                seen.add(k)
+        seen = set()
+        for e in self.entries:
+            key = (e.user, e.task, e.trial, e.variant)
+            if key in seen:
+                raise DataError(f"duplicate manifest entry for {key}")
+            seen.add(key)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -254,14 +251,10 @@ class DatasetManifest:
 
 
 class TraceDataset:
-    """Immutable labeled collection of force traces with group lookups."""
+    """Immutable labeled collection of force traces."""
 
     def __init__(self, traces: Iterable[ForceTrace]):
         self._traces = tuple(traces)
-        groups: dict[tuple[str, str], list[ForceTrace]] = {}
-        for tr in self._traces:
-            groups.setdefault((tr.user_id, tr.task_id), []).append(tr)
-        self._groups = {k: tuple(v) for k, v in groups.items()}
 
     def __len__(self) -> int:
         return len(self._traces)
@@ -280,12 +273,6 @@ class TraceDataset:
     @property
     def tasks(self) -> list[str]:
         return sorted({tr.task_id for tr in self._traces})
-
-    def group(self, user_id: str, task_id: str) -> tuple[ForceTrace, ...]:
-        return self._groups.get((user_id, task_id), ())
-
-    def by_group(self) -> dict[tuple[str, str], tuple[ForceTrace, ...]]:
-        return dict(self._groups)
 
     def subset(self, *, variant: str | None = None, user_id: str | None = None,
                task_id: str | None = None) -> "TraceDataset":
@@ -326,16 +313,22 @@ def load_dataset(manifest: DatasetManifest, base_dir: Path | str) -> TraceDatase
 
 def save_dataset(dataset: TraceDataset, out_dir: Path | str) -> DatasetManifest:
     """Write one CSV per trace, then manifest.json, into out_dir, each file
-    atomically.  The manifest's sample rate is its traces' one rate."""
+    atomically.  The manifest's sample rate is its traces' one rate, and
+    each trace has a file of its own."""
     rates = sorted({tr.sample_rate for tr in dataset})
     if len(rates) > 1:
         raise DataError(f"dataset mixes sample rates {rates}; a manifest holds one")
     rate = rates[0] if rates else DEFAULT_SAMPLE_RATE
+    files: dict[str, ForceTrace] = {}
+    for tr in dataset:
+        name = f"{tr.user_id}_{tr.task_id}_{tr.trial_index:04d}_{tr.variant}.csv"
+        if name in files:  # '_' joins the labels, so ('u_1', 'a') and ('u', '1_a') meet
+            raise DataError(f"traces {files[name].key} and {tr.key} would share the file {name}")
+        files[name] = tr
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for tr in dataset:
-        name = f"{tr.user_id}_{tr.task_id}_{tr.trial_index:04d}_{tr.variant}.csv"
+    for name, tr in files.items():
         with atomic_write(out / name) as fh:
             fh.write(write_trace_csv(tr))
         entries.append(ManifestEntry(path=name, user=tr.user_id, task=tr.task_id,

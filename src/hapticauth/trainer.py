@@ -127,11 +127,14 @@ def split_dataset(dataset: TraceDataset, n_train: int, n_test: int,
                   seed: int) -> tuple[list[ForceTrace], list[ForceTrace]]:
     """Seeded shuffle within each sorted (user, task) group; first n_train
     trials go to train, the next n_test to test."""
+    groups: dict[tuple[str, str], list[ForceTrace]] = {}
+    for tr in dataset:
+        groups.setdefault((tr.user_id, tr.task_id), []).append(tr)
     rng = np.random.default_rng(seed)
     train: list[ForceTrace] = []
     test: list[ForceTrace] = []
-    for key in sorted(dataset.by_group()):
-        group = sorted(dataset.group(*key), key=lambda tr: tr.trial_index)
+    for key in sorted(groups):
+        group = sorted(groups[key], key=lambda tr: tr.trial_index)
         if len(group) < n_train + n_test:
             raise DataError(
                 f"group {key} has {len(group)} trials, needs {n_train + n_test}"
@@ -274,7 +277,8 @@ def plan_experiment(dataset: TraceDataset, kind: str, train_cfg: TrainConfig,
     """One job per group in sorted order; job i trains under seed + i."""
     variants = {tr.variant for tr in dataset}
     if len(variants) > 1:
-        raise DataError(f"experiment dataset mixes variants {sorted(variants)}; select one first")
+        raise DataError(f"experiment dataset mixes variants {sorted(variants)}; an experiment's "
+                        "manifest holds one variant, as filter writes them")
     group_field, class_field = EXPERIMENT_FIELDS[kind]
     groups = sorted({getattr(tr, group_field) for tr in dataset})
     classes = sorted({getattr(tr, class_field) for tr in dataset})

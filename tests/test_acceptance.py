@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS line with
 the measured quantity (run with ``pytest -s tests/test_acceptance.py`` to see
 them).  The heavy benchmark/sweep tests dominate the runtime; the whole
-module finishes in well under 15 minutes on two laptop cores.
+module takes about 2 minutes on two cores (110-140 s measured on a shared
+2-core Linux host).
 """
 
 import json

@@ -9,9 +9,10 @@ import pytest
 
 from hapticauth import cli, trainer
 from hapticauth.cli import main
-from hapticauth.dataset import DatasetManifest, load_dataset
+from hapticauth.dataset import DatasetManifest, TraceDataset, load_dataset, save_dataset
 from hapticauth.errors import DataError
 from hapticauth.model import ModelConfig, build_model, load_checkpoint, save_checkpoint
+from hapticauth.signal import filter_trace
 
 from oracles import ema_recurrence
 
@@ -168,6 +169,26 @@ class TestTrainEval:
         assert code == 0
         assert sorted(p.name for p in ckpt.glob("*.ckpt")) == \
             ["user-id_task-a.ckpt", "user-id_task-b.ckpt"]
+
+    def test_filtered_manifest_trains_filtered_models(self, dataset_dir, tmp_path):
+        filtered, out = tmp_path / "filtered", tmp_path / "ck"
+        assert main(["filter", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(filtered)]) == 0
+        assert main(["train-experiment", "--manifest", str(filtered / "manifest.json"),
+                     "--kind", "user-id", "--out", str(out)] + TINY_FLAGS) == 0
+        paths = sorted(out.glob("*.ckpt"))
+        assert [p.name for p in paths] == ["user-id_task-a.ckpt", "user-id_task-b.ckpt"]
+        assert all(load_checkpoint(p)[1]["variant"] == "filtered" for p in paths)
+
+    @pytest.mark.parametrize("command, out", [("train-experiment", "ck"), ("sweep", "c.csv")])
+    def test_variant_flag_is_gone(self, command, out, dataset_dir, tmp_path):
+        # a manifest holds one variant, so there is none to select
+        kind = ["--kind", "task"] if command == "train-experiment" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--manifest", str(dataset_dir / "manifest.json"), *kind,
+                  "--variant", "raw", "--out", str(tmp_path / out)] + TINY_FLAGS)
+        assert exc.value.code == 2
+        assert not (tmp_path / out).exists()
 
     def test_same_seed_identical_checkpoints(self, dataset_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -490,6 +511,29 @@ class TestSweep:
         assert out.read_bytes() == b"earlier"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "data"]
 
+    def test_failed_sweep_keeps_finished_rows(self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # the curve is rewritten after each point, so a job of the second size
+        # that fails leaves the header and the first size's row
+        run = ["sweep", "--manifest", str(dataset_dir / "manifest.json"),
+               "--sizes", "2,3", "--users", "u01"] + TINY_FLAGS
+        assert main(run + ["--out", str(tmp_path / "full.csv")]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        train, calls = trainer.train, []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DataError("injected")
+            return train(*args)
+
+        monkeypatch.setattr(trainer, "train", second_fails)
+        capsys.readouterr()
+        assert main(run + ["--out", str(tmp_path / "c.csv")]) == 3
+        assert "model sweep-u01-3: injected" in capsys.readouterr().err
+        full = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+        assert (tmp_path / "c.csv").read_text() == "".join(full[:2])
+        assert full[1].startswith("2,")
+
     def test_bad_sizes_flag(self, dataset_dir, tmp_path):
         assert main(["sweep", "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(tmp_path / "c.csv"), "--sizes", "2,x"] + TINY_FLAGS) == 2
@@ -597,9 +641,21 @@ class TestWorkers:
         assert len(every_core) == 2
 
 
-def _filtered_of_raw_manifest(data, tmp):
-    return ["train-experiment", "--manifest", str(data / "manifest.json"), "--kind", "task",
-            "--variant", "filtered", "--out", str(tmp / "ck")] + TINY_FLAGS
+def _mixed_manifest(data, tmp):
+    """A library-saved manifest of the raw traces and their filtered twins."""
+    raw = load_dataset(DatasetManifest.load(data / "manifest.json"), data)
+    save_dataset(TraceDataset([*raw, *(filter_trace(tr, 0.001) for tr in raw)]), tmp / "mixed")
+    return str(tmp / "mixed" / "manifest.json")
+
+
+def _train_mixed_variants(data, tmp):
+    return ["train-experiment", "--manifest", _mixed_manifest(data, tmp), "--kind", "task",
+            "--out", str(tmp / "ck")] + TINY_FLAGS
+
+
+def _sweep_mixed_variants(data, tmp):
+    return ["sweep", "--manifest", _mixed_manifest(data, tmp), "--out", str(tmp / "c.csv"),
+            "--sizes", "2", "--users", "u01"] + TINY_FLAGS
 
 
 def _missing_checkpoint_dir(data, tmp):
@@ -631,6 +687,23 @@ def _filter_smoothed_entry(data, tmp):
     return ["filter", "--manifest", str(path), "--out", str(tmp / "f")]
 
 
+def _filter_filtered_manifest(data, tmp):
+    assert main(["filter", "--manifest", str(data / "manifest.json"),
+                 "--out", str(tmp / "filtered")]) == 0
+    return ["filter", "--manifest", str(tmp / "filtered" / "manifest.json"), "--out", str(tmp / "f")]
+
+
+def _filter_label_leaving_out(data, tmp):
+    # the relabelled u01 traces would be written two levels above --out
+    path = data / "manifest.json"
+    doc = json.loads(path.read_text())
+    for entry in doc["entries"]:
+        if entry["user"] == "u01":
+            entry["user"] = "../../pwned/u01"
+    path.write_text(json.dumps(doc))
+    return ["filter", "--manifest", str(path), "--out", str(tmp / "out" / "filtered")]
+
+
 def _eval_over_unreadable_aggregate(data, tmp):
     manifest, ckpt, reports = str(data / "manifest.json"), tmp / "ck", tmp / "rep"
     assert main(["train-experiment", "--manifest", manifest, "--kind", "task",
@@ -644,8 +717,10 @@ def _eval_over_unreadable_aggregate(data, tmp):
 
 class TestErrorExits:
     @pytest.mark.parametrize("setup, code, message", [
-        pytest.param(_filtered_of_raw_manifest, 3, "manifest has no 'filtered' entries",
-                     id="train-filtered-of-raw"),
+        pytest.param(_train_mixed_variants, 3, "mixes variants ['filtered', 'raw']",
+                     id="train-mixed-variants"),
+        pytest.param(_sweep_mixed_variants, 3, "mixes variants ['filtered', 'raw']",
+                     id="sweep-mixed-variants"),
         pytest.param(_missing_checkpoint_dir, 3, "checkpoint directory not found",
                      id="eval-missing-checkpoints"),
         pytest.param(_sweep_onto_existing_file, 2, "exists (use --force to overwrite)",
@@ -657,6 +732,11 @@ class TestErrorExits:
                      id="filter-manifest-not-json"),
         pytest.param(_filter_smoothed_entry, 3, "bad variant 'smoothed'",
                      id="filter-smoothed-entry"),
+        pytest.param(_filter_filtered_manifest, 3,
+                     "filter reads a raw manifest; this one holds ['filtered'] traces",
+                     id="filter-filtered-manifest"),
+        pytest.param(_filter_label_leaving_out, 3, "label '../../pwned/u01' cannot name a file",
+                     id="filter-label-leaving-out"),
         pytest.param(_eval_over_unreadable_aggregate, 3, "cannot tell which reports",
                      id="eval-unreadable-aggregate"),
     ])

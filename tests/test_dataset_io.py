@@ -256,6 +256,16 @@ class TestForceTraceInvariants:
                        user_id="u", task_id="a", trial_index=0, sample_rate=rate)
 
 
+    @pytest.mark.parametrize("label", ["", ".", "..", "../../pwned/u01", "a/b", "a\\b", "a\0b"])
+    @pytest.mark.parametrize("field", ["user_id", "task_id"])
+    def test_rejects_labels_that_cannot_name_a_file(self, field, label):
+        # the labels build trace, checkpoint and report file names
+        labels = {"user_id": "u", "task_id": "a", field: label}
+        with pytest.raises(DataError, match="cannot name a file"):
+            ForceTrace(timestamps=np.float32([0.0]), forces=np.float32([[0, 0, 0]]),
+                       trial_index=0, **labels)
+
+
 class TestManifestAndLoading:
     def test_duplicate_entries_rejected(self):
         e = ManifestEntry(path="x.csv", user="u", task="a", trial=0, variant="raw")
@@ -337,6 +347,14 @@ class TestManifestAndLoading:
         rng = np.random.default_rng(4)
         traces = [make_trace(rng, trial=0, rate=250.0), make_trace(rng, trial=1, rate=500.0)]
         with pytest.raises(DataError, match="sample rates"):
+            save_dataset(TraceDataset(traces), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_traces_sharing_a_file_rejected_before_writing(self, tmp_path):
+        rng = np.random.default_rng(5)
+        traces = [make_trace(rng, user="u_1", task="a"), make_trace(rng, user="u", task="1_a")]
+        message = re.escape("('u_1', 'a', 0, 'raw') and ('u', '1_a', 0, 'raw')")
+        with pytest.raises(DataError, match=message):
             save_dataset(TraceDataset(traces), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 

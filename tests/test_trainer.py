@@ -17,6 +17,7 @@ from hapticauth import (
     FeatureSequence,
     ModelConfig,
     SynthConfig,
+    TraceDataset,
     TrainConfig,
     adam_step,
     build_model,
@@ -68,6 +69,17 @@ class TestSplitDataset:
         ds = synth_dataset(cfg)
         s1 = split_dataset(ds, 6, 2, seed=9)
         s2 = split_dataset(ds, 6, 2, seed=9)
+        assert [t.key for t in s1[0]] == [t.key for t in s2[0]]
+        assert [t.key for t in s1[1]] == [t.key for t in s2[1]]
+
+    def test_independent_of_trace_order(self):
+        cfg = SynthConfig(num_users=2, tasks=("a", "b"), trials_per_task=10, seed=2,
+                          duration_range=(0.02, 0.03))
+        ds = synth_dataset(cfg)
+        order = np.random.default_rng(0).permutation(len(ds))
+        shuffled = TraceDataset([ds.traces[i] for i in order])
+        s1 = split_dataset(ds, 6, 2, seed=9)
+        s2 = split_dataset(shuffled, 6, 2, seed=9)
         assert [t.key for t in s1[0]] == [t.key for t in s2[0]]
         assert [t.key for t in s1[1]] == [t.key for t in s2[1]]
 
