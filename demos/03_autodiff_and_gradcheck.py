@@ -23,17 +23,21 @@ z = ad.mul(x, x)                   # fan-out: both factors are x, so their gradi
 backward(ad.tsum(z))
 print(f"d(sum x*x)/dx = {x.grad}   (expected 2x = {2 * x.data})")
 
-# --- attention is one fused op with a hand-written backward ------------------
+# --- the attention sublayer is one fused op with a hand-written backward ----
+# LayerNorm(x + MHSA(x)): the residual add and the layer norm are inside it
 rng = np.random.default_rng(0)
 xa = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True, dtype=np.float64)
 ws = [Tensor(rng.standard_normal((8, 8)) / np.sqrt(8), requires_grad=True, dtype=np.float64)
       for _ in range(4)]
 weights = Tensor(rng.standard_normal((2, 5, 8)), dtype=np.float64)
-attn = mhsa(xa, *ws, num_heads=2)
-print(f"mhsa: one graph node with {len(attn._parents)} parents (x, wq, wk, wv, wo)")
-err = grad_check(lambda: ad.tsum(ad.mul(mhsa(xa, *ws, num_heads=2), weights)), [xa, *ws],
-                 eps=1e-6, num_samples=100)
-print(f"gradcheck on mhsa alone: max relative error {err:.2e}")
+gamma = Tensor(np.ones(8), requires_grad=True, dtype=np.float64)
+beta = Tensor(np.zeros(8), requires_grad=True, dtype=np.float64)
+attn = mhsa(xa, *ws, gamma, beta, num_heads=2)
+print(f"mhsa: one graph node with {len(attn._parents)} parents "
+      "(x, wq, wk, wv, wo, gamma, beta)")
+err = grad_check(lambda: ad.tsum(ad.mul(mhsa(xa, *ws, gamma, beta, num_heads=2), weights)),
+                 [xa, *ws, gamma, beta], eps=1e-6, num_samples=100)
+print(f"gradcheck on the attention sublayer: max relative error {err:.2e}")
 
 # --- the model is one big graph ----------------------------------------------
 cfg = ModelConfig(d_model=64, num_heads=8, ffn_dim=64, num_layers=2,

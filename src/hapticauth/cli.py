@@ -71,6 +71,17 @@ def _workers() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+# A command checks its output path before any work and creates it only once
+# it has something to write, so a refused run leaves no directory behind.
+
+def _check_creatable(path: Path) -> None:
+    """Refuse a directory path that mkdir could not make: its nearest
+    existing ancestor is not a directory."""
+    nearest = next(part for part in (path, *path.parents) if part.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot create directory {path}: a part of its path is a file")
+
+
 def _make_dirs(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -78,7 +89,7 @@ def _make_dirs(path: Path) -> None:
         raise ConfigError(f"cannot create directory {path}: a part of its path is a file") from None
 
 
-def _prepare_outdir(path_str: str | None, force: bool) -> Path:
+def _check_outdir(path_str: str | None, force: bool) -> Path:
     if not path_str:
         raise ConfigError("no output path given (set --out or HAPTICAUTH_OUT)")
     out = Path(path_str)
@@ -86,11 +97,11 @@ def _prepare_outdir(path_str: str | None, force: bool) -> Path:
         raise ConfigError(f"output path {out} is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
-    _make_dirs(out)
+    _check_creatable(out)
     return out
 
 
-def _prepare_outfile(path_str: str | None, force: bool) -> Path:
+def _check_outfile(path_str: str | None, force: bool) -> Path:
     if not path_str:
         raise ConfigError("no output path given (set --out or HAPTICAUTH_OUT)")
     out = Path(path_str)
@@ -98,7 +109,7 @@ def _prepare_outfile(path_str: str | None, force: bool) -> Path:
         raise ConfigError(f"output path {out} is a directory")
     if out.exists() and not force:
         raise ConfigError(f"output file {out} exists (use --force to overwrite)")
-    _make_dirs(out.parent)
+    _check_creatable(out.parent)
     return out
 
 
@@ -119,8 +130,9 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         duration_range=(args.duration_min, args.duration_max),
     )
-    out = _prepare_outdir(args.out, args.force)
+    out = _check_outdir(args.out, args.force)
     dataset = synth_dataset(cfg)
+    _make_dirs(out)
     save_dataset(dataset, out)
     print(f"wrote {len(dataset)} traces ({args.users} users x {args.tasks} tasks "
           f"x {args.trials} trials) to {out}")
@@ -136,8 +148,10 @@ def cmd_filter(args) -> int:
     variants = sorted({tr.variant for tr in raw} - {"raw"})
     if variants:
         raise DataError(f"filter reads a raw manifest; this one holds {variants} traces")
-    out = _prepare_outdir(args.out, args.force)
-    save_dataset(TraceDataset(filter_trace(tr, args.alpha) for tr in raw), out)
+    out = _check_outdir(args.out, args.force)
+    filtered = TraceDataset(filter_trace(tr, args.alpha) for tr in raw)
+    _make_dirs(out)
+    save_dataset(filtered, out)
     print(f"filtered {len(raw)} traces (alpha={args.alpha}) into {out}")
     return 0
 
@@ -174,7 +188,8 @@ def cmd_train_experiment(args) -> int:
     dataset = _load(args.manifest)
     jobs = plan_experiment(dataset, args.kind, _train_config(args),
                            _model_template(args, args.kind))
-    out = _prepare_outdir(args.out, args.force)
+    out = _check_outdir(args.out, args.force)
+    _make_dirs(out)
     # an earlier run's models must not be evaluated alongside this run's
     for stale in out.glob("*.ckpt"):
         stale.unlink()
@@ -197,9 +212,10 @@ def cmd_eval_experiment(args) -> int:
     if not paths:
         raise DataError(f"no checkpoints in {ckpt_dir}")
     dataset = _load(args.manifest)
-    out = _prepare_outdir(args.out, args.force)
+    out = _check_outdir(args.out, args.force)
 
     exp = evaluate_experiment([load_trained(dataset, p) for p in paths])
+    _make_dirs(out)
     write_experiment_files(exp, out)
     for r in exp.reports:
         print(f"{r.model_id}: accuracy={r.accuracy:.4f}")
@@ -218,10 +234,11 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     dataset = _load(args.manifest)
     users = [u.strip() for u in args.users.split(",") if u.strip()] if args.users else None
-    out = _prepare_outfile(args.out, args.force)
+    out = _check_outfile(args.out, args.force)
     train_cfg = _train_config(args)
     template = _model_template(args, "task")
     plan = plan_sweep(dataset, train_cfg, sizes, template, users)
+    _make_dirs(out.parent)
     columns = sorted(job.group for job in plan[0][1])
     lines = ["size,accuracy" + "".join(f",{u}" for u in columns)]
     models = run_jobs([job for _, jobs in plan for job in jobs], _workers())  # one queue

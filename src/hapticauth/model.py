@@ -1,13 +1,18 @@
 """Two-layer transformer encoder classifier over 13-channel feature sequences.
 
 Post-norm encoder layers (LayerNorm(x + Sublayer(x))), fixed sinusoidal
-positional encodings, mean-pooling over time, and a linear head.  Each layer
-is a fused op with a hand-written backward and records one graph node:
-linear (in-projection and head), mhsa, ffn and add_layer_norm, so a step
-records 4 + 4 * num_layers nodes with the loss.  A model is its learned
-weights: param_shapes names each tensor once, in the order that build_model
-draws, the optimizer walks and checkpoints store them.  The positional table
-is computed from the config, never stored.
+positional encodings, mean-pooling over time, and a linear head.  Each op is
+fused with a hand-written backward and records one graph node: linear
+(in-projection and head), and per layer the two sublayers mhsa and ffn, each
+of which adds its input back and layer-normalises the sum.  So a step
+records 4 + 2 * num_layers nodes: the in-projection, the sublayers, mean,
+the head and the loss.  A sublayer keeps for backward what its own op
+reads, plus its layer norm's standardised sum and inverse standard
+deviations; it builds the sum in place in its output buffer, so it keeps no
+separate sublayer output.  A model is its learned weights: param_shapes
+names each tensor once, in the order that build_model draws, the optimizer
+walks and checkpoints store them.  The positional table is computed from the
+config, never stored.
 """
 
 from __future__ import annotations
@@ -166,15 +171,19 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
 
 
 def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-         num_heads: int) -> Tensor:
-    """Full bidirectional multi-head self-attention with 1/sqrt(head_dim)
-    scaling; heads concatenated then output-projected.
+         gamma: Tensor, beta: Tensor, num_heads: int) -> Tensor:
+    """The attention sublayer LayerNorm(x + MHSA(x)): full bidirectional
+    multi-head self-attention with 1/sqrt(head_dim) scaling, heads
+    concatenated then output-projected, its input added back, and the sum
+    layer-normalised with gamma and beta.
 
-    One graph node with parents (x, wq, wk, wv, wo) and a hand-written
-    backward.  The softmax is never normalised over the (L, L) scores: v
-    carries a column of ones, so e @ [v | 1] gives the context numerator and
-    the row sums l in one GEMM, and the context is the numerator times 1/l
-    (the output-side normalisation of FlashAttention, Dao et al. 2022).
+    One graph node with parents (x, wq, wk, wv, wo, gamma, beta) and a
+    hand-written backward.  The output projection's buffer takes x in place
+    and becomes the layer norm's standardised sum (_layer_norm).  The
+    softmax is never normalised over the (L, L) scores: v carries a column
+    of ones, so e @ [v | 1] gives the context numerator and the row sums l in
+    one GEMM, and the context is the numerator times 1/l (the output-side
+    normalisation of FlashAttention, Dao et al. 2022).
 
     The exponent is base 2: q's scale holds log2(e), so the score GEMM
     writes scores in log2 units and exp2 gives the same e as exp would on
@@ -195,8 +204,9 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     tiles of QUERY_TILE query rows (all L rows when L is shorter) of as many
     heads as fit SCORE_BLOCK elements, each tile into one reused scratch
     block.  Training and inference run the same forward.  For backward it
-    keeps [q | -m], [k | 1]^T, [v | 1], 1/l, the context in token layout and
-    the score block, but not the (B·h, L, dh + 1) numerator, and backward
+    keeps [q | -m], [k | 1]^T, [v | 1], 1/l, the context in token layout,
+    the score block and the layer norm's standardised sum and 1/std, but
+    not the (B·h, L, dh + 1) numerator, and backward
     recomputes each tile's e with the same GEMM and exp2 (the FlashAttention
     backward), so no (B, h, L, L) tensor is allocated.  dk and dv add up
     over a head's tiles in tile order, so no result depends on the BLAS
@@ -260,10 +270,13 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     ctx *= inv_l
     ctx_flat = ctx.reshape(bsz, num_heads, length, head_dim).transpose(0, 2, 1, 3).reshape(bsz * length, d)
     del num, ctx  # before the output GEMM; backward reads the context from ctx_flat
-    out_data = (ctx_flat @ wo.data).reshape(bsz, length, d)
+    xhat = (ctx_flat @ wo.data).reshape(bsz, length, d)
+    xhat += x.data
+    out_data, inv_std = _layer_norm(xhat, gamma, beta)
 
     def backward_fn(g):
-        g = g.reshape(bsz * length, d)
+        dsum = _layer_norm_backward(g, xhat, inv_std, gamma, beta)
+        g = dsum.reshape(bsz * length, d)
         ad._accumulate(wo, ctx_flat.T @ g)
         # softmax backward: ds = p * (dctx v^T - rowsum(dctx * ctx)) with
         # p = e / l, which is e * (a @ [v | 1]^T) for a = [dctx | -rowsum] / l
@@ -304,9 +317,11 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         for i, w in enumerate((wq, wk, wv)):
             ad._accumulate(w, dw[:, i * d:(i + 1) * d])
         w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-        ad._accumulate(x, (dqkv @ w_qkv.T).reshape(bsz, length, d))
+        dx = (dqkv @ w_qkv.T).reshape(bsz, length, d)
+        dx += dsum  # the residual's share
+        ad._accumulate(x, dx)
 
-    return _make(out_data, (x, wq, wk, wv, wo), backward_fn)
+    return _make(out_data, (x, wq, wk, wv, wo, gamma, beta), backward_fn)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -331,65 +346,76 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-        preacts: list[np.ndarray] | None = None) -> Tensor:
-    """Position-wise feed-forward block relu(x @ w1 + b1) @ w2 + b2.
+        gamma: Tensor, beta: Tensor, preacts: list[np.ndarray] | None = None) -> Tensor:
+    """The feed-forward sublayer LayerNorm(x + relu(x @ w1 + b1) @ w2 + b2).
 
-    One graph node that keeps only the hidden activations for backward.  The
-    relu is np.maximum, which passes a NaN on; its derivative at exactly 0 is
-    0.  A list passed as preacts receives the pre-activation array."""
+    One graph node that keeps the hidden activations and the layer norm's
+    standardised sum and 1/std for backward.  The relu is np.maximum, in
+    place on the pre-activations, which passes a NaN on; its derivative at
+    exactly 0 is 0.  A list passed as preacts receives a copy of the
+    pre-activation array.  The second GEMM's buffer takes x in place and
+    becomes the standardised sum (_layer_norm)."""
     d, f = w1.shape
-    pre = x.data @ w1.data
-    pre += b1.data
+    hidden = x.data @ w1.data
+    hidden += b1.data
     if preacts is not None:
-        preacts.append(pre)
-    hidden = np.maximum(pre, 0)
-    out_data = hidden @ w2.data
-    out_data += b2.data
+        preacts.append(hidden.copy())
+    np.maximum(hidden, 0, out=hidden)
+    xhat = hidden @ w2.data
+    xhat += b2.data
+    xhat += x.data
+    out_data, inv_std = _layer_norm(xhat, gamma, beta)
 
     def backward_fn(g):
-        g2, h2 = g.reshape(-1, d), hidden.reshape(-1, f)
+        dsum = _layer_norm_backward(g, xhat, inv_std, gamma, beta)
+        g2, h2 = dsum.reshape(-1, d), hidden.reshape(-1, f)
         ad._accumulate(w2, h2.T @ g2)
         ad._accumulate(b2, g2.sum(axis=0))
         dpre = g2 @ w2.data.T
         dpre *= h2 > 0
         ad._accumulate(w1, x.data.reshape(-1, d).T @ dpre)
         ad._accumulate(b1, dpre.sum(axis=0))
-        ad._accumulate(x, (dpre @ w1.data.T).reshape(x.shape))
+        dx = (dpre @ w1.data.T).reshape(x.shape)
+        dx += dsum  # the residual's share
+        ad._accumulate(x, dx)
 
-    return _make(out_data, (x, w1, b1, w2, b2), backward_fn)
+    return _make(out_data, (x, w1, b1, w2, b2, gamma, beta), backward_fn)
 
 
-def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Residual sum and layer norm over the last axis: LayerNorm(x + y).
-
-    One graph node that keeps the standardised sum and the inverse standard
-    deviations for backward; x and y receive the same gradient."""
-    d = x.shape[-1]
-    xhat = x.data + y.data  # centred, then scaled, in place
+def _layer_norm(xhat: np.ndarray, gamma: Tensor, beta: Tensor
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm over the last axis of xhat, which holds the residual sum
+    x + F(x) and becomes the standardised sum in place; returns
+    gamma * xhat + beta and the inverse standard deviations."""
     xhat -= xhat.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv_std
     out_data = gamma.data * xhat
     out_data += beta.data
+    return out_data, inv_std
 
-    def backward_fn(g):
-        # two full-size buffers: dxhat becomes dsum in place, and tmp holds
-        # each product in turn (g2 is a copy when g is mean's broadcast view)
-        g2 = g.reshape(-1, d)
-        ad._accumulate(beta, g2.sum(axis=0))
-        tmp = g2 * xhat.reshape(-1, d)
-        ad._accumulate(gamma, tmp.sum(axis=0))
-        del g2
-        tmp = tmp.reshape(xhat.shape)
-        dxhat = g * gamma.data
-        mean_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).mean(axis=-1, keepdims=True)
-        dxhat -= dxhat.mean(axis=-1, keepdims=True)
-        dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)
-        dxhat *= inv_std
-        ad._accumulate(x, dxhat)
-        ad._accumulate(y, dxhat)
 
-    return _make(out_data, (x, y, gamma, beta), backward_fn)
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                         gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """_layer_norm's backward: accumulates gamma's and beta's gradients and
+    returns the gradient of the residual sum, which x and F(x) both receive.
+
+    Two full-size buffers: dxhat becomes the sum's gradient in place, and
+    tmp holds each product in turn (g2 is a copy when g is mean's broadcast
+    view)."""
+    d = xhat.shape[-1]
+    g2 = g.reshape(-1, d)
+    ad._accumulate(beta, g2.sum(axis=0))
+    tmp = g2 * xhat.reshape(-1, d)
+    ad._accumulate(gamma, tmp.sum(axis=0))
+    del g2
+    tmp = tmp.reshape(xhat.shape)
+    dxhat = g * gamma.data
+    mean_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).mean(axis=-1, keepdims=True)
+    dxhat -= dxhat.mean(axis=-1, keepdims=True)
+    dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+    dxhat *= inv_std
+    return dxhat
 
 
 def forward(params: ModelParams, batch: np.ndarray, *,
@@ -413,12 +439,12 @@ def forward(params: ModelParams, batch: np.ndarray, *,
     x.data += positional_encoding(cfg.seq_len, cfg.d_model)
     for i in range(cfg.num_layers):
         p = f"layers.{i}"
-        attn_out = mhsa(x, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"],
-                        params[f"{p}.attn.wv"], params[f"{p}.attn.wo"], cfg.num_heads)
-        x = add_layer_norm(x, attn_out, params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"])
-        ffn_out = ffn(x, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"],
-                      params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"], ffn_preacts)
-        x = add_layer_norm(x, ffn_out, params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"])
+        x = mhsa(x, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"], params[f"{p}.attn.wv"],
+                 params[f"{p}.attn.wo"], params[f"{p}.ln1.gamma"], params[f"{p}.ln1.beta"],
+                 cfg.num_heads)
+        x = ffn(x, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"], params[f"{p}.ffn.w2"],
+                params[f"{p}.ffn.b2"], params[f"{p}.ln2.gamma"], params[f"{p}.ln2.beta"],
+                ffn_preacts)
     return linear(ad.mean(x, axis=1), params["head.w"], params["head.b"])
 
 

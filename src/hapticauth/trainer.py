@@ -191,8 +191,9 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
                 raise DataError(f"non-finite training loss {float(loss.data)} "
                                 f"at epoch {epoch}, step {step}")
             backward(loss)
-            grads = {k: t.grad for k, t in params.items() if t.grad is not None}
-            adam_step(params, grads, state, lr)
+            # the dict is not bound: this step's gradients die at the next zero_grads
+            adam_step(params, {k: t.grad for k, t in params.items() if t.grad is not None},
+                      state, lr)
             loss_sum += float(loss.data) * len(idx)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
             del logits, loss  # else this step's logits live on through the next forward

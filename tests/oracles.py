@@ -139,6 +139,21 @@ def attention_per_head(x, wq, wk, wv, wo, num_heads):
     return out
 
 
+def layer_norm_rows(s, gamma, beta, eps=1e-5):
+    """Layer norm over the last axis, row by row in float64: the mean in one
+    pass, the population variance about it in a second."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.empty_like(s)
+    for idx in np.ndindex(s.shape[:-1]):
+        row = [float(v) for v in s[idx]]
+        mean = sum(row) / len(row)
+        var = sum((v - mean) ** 2 for v in row) / len(row)
+        inv_std = 1.0 / math.sqrt(var + eps)
+        out[idx] = [float(g) * (v - mean) * inv_std + float(b)
+                    for v, g, b in zip(row, gamma, beta)]
+    return out
+
+
 def cross_entropy_per_sample(logits, labels):
     z = np.asarray(logits, dtype=np.float64)
     losses = []

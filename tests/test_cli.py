@@ -715,6 +715,22 @@ def _eval_over_unreadable_aggregate(data, tmp):
             "--out", str(reports), "--force"]
 
 
+def _eval_on_other_traces(data, tmp):
+    # another seed at the same sizes lists the same keys, but each
+    # checkpoint's split digest covers its traces' bytes
+    manifest, ckpt = str(data / "manifest.json"), tmp / "ck"
+    assert main(["train-experiment", "--manifest", manifest, "--kind", "task",
+                 "--out", str(ckpt)] + TINY_FLAGS) == 0
+    assert main(synth_args(tmp / "seed6", seed=6)) == 0
+    return ["eval-experiment", "--checkpoints", str(ckpt),
+            "--manifest", str(tmp / "seed6" / "manifest.json"), "--out", str(tmp / "rep")]
+
+
+def _sweep_unknown_user_into_new_dir(data, tmp):
+    return ["sweep", "--manifest", str(data / "manifest.json"),
+            "--out", str(tmp / "newdir" / "c.csv"), "--sizes", "2", "--users", "zz"] + TINY_FLAGS
+
+
 class TestErrorExits:
     @pytest.mark.parametrize("setup, code, message", [
         pytest.param(_train_mixed_variants, 3, "mixes variants ['filtered', 'raw']",
@@ -739,9 +755,14 @@ class TestErrorExits:
                      id="filter-label-leaving-out"),
         pytest.param(_eval_over_unreadable_aggregate, 3, "cannot tell which reports",
                      id="eval-unreadable-aggregate"),
+        pytest.param(_eval_on_other_traces, 3, "the digest of another split or other trace data",
+                     id="eval-split-digest-differs"),
+        pytest.param(_sweep_unknown_user_into_new_dir, 3, "sweep users not in dataset: ['zz']",
+                     id="sweep-unknown-user-new-dir"),
     ])
     def test_exit_code_and_message(self, setup, code, message, dataset_dir, tmp_path, capsys):
-        # an error exit names its cause and leaves every file as it was
+        # an error exit names its cause and leaves every file as it was, and
+        # makes no directory
         argv = setup(dataset_dir, tmp_path)
         before = read_tree(tmp_path), sorted(tmp_path.rglob("*"))
         capsys.readouterr()

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hapticauth import (
     ModelConfig,
@@ -25,10 +25,24 @@ from hapticauth.errors import ConfigError, DataError, ShapeError
 from hapticauth.model import (CHECKPOINT_VERSION, QUERY_TILE, ROW_SUM_FLOOR, SCORE_BLOCK,
                               param_shapes)
 
-from oracles import attention_per_head, cross_entropy_per_sample
+from oracles import attention_per_head, cross_entropy_per_sample, layer_norm_rows
 
 # one query tile of 64 rows, another of 64 and a remainder tile of 1
 TILED_LENGTH = 2 * QUERY_TILE + 1
+
+
+def norm_params(rng, d, dtype, requires_grad=False):
+    """Layer-norm gamma in [0.5, 1.5] and beta ~ N(0, 0.5^2), drawn after
+    the other inputs so that those stay as they were drawn."""
+    gamma = rng.uniform(0.5, 1.5, size=d)
+    beta = rng.normal(0.0, 0.5, size=d)
+    return [Tensor(a, requires_grad=requires_grad, dtype=dtype) for a in (gamma, beta)]
+
+
+def sublayer_oracle(x, wq, wk, wv, wo, gamma, beta, num_heads):
+    """The attention sublayer LayerNorm(x + MHSA(x)) from the loop oracles."""
+    s = np.asarray(x, dtype=np.float64) + attention_per_head(x, wq, wk, wv, wo, num_heads)
+    return layer_norm_rows(s, gamma, beta)
 
 
 def huge_orthogonal_key(huge, dtype, length=6, seed=0):
@@ -150,12 +164,17 @@ class TestPositionalEncoding:
 
 class TestMhsa:
     def test_single_position_is_value_projection(self):
+        # one key weighs exactly 1, so attention is the value projection,
+        # added back and normalised by the same layer norm
         rng = np.random.default_rng(0)
         d, h = 8, 2
         x = Tensor(rng.normal(size=(1, 1, d)).astype(np.float32))
         ws = {k: Tensor(rng.normal(size=(d, d)).astype(np.float32)) for k in "qkvo"}
-        out = mhsa(x, ws["q"], ws["k"], ws["v"], ws["o"], h)
-        expected = (x.data @ ws["v"].data) @ ws["o"].data
+        gamma, beta = norm_params(rng, d, np.float32)
+        out = mhsa(x, ws["q"], ws["k"], ws["v"], ws["o"], gamma, beta, h)
+        s = (x.data @ ws["v"].data) @ ws["o"].data
+        s += x.data
+        expected, _ = model._layer_norm(s, gamma, beta)
         np.testing.assert_array_equal(out.data, expected)
 
     def test_matches_per_head_loop_oracle(self):
@@ -163,8 +182,10 @@ class TestMhsa:
         d, h = 8, 2
         x = Tensor(rng.normal(size=(1, 3, d)).astype(np.float32))
         wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
-        out = mhsa(x, wq, wk, wv, wo, h).data
-        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        gamma, beta = norm_params(rng, d, np.float32)
+        out = mhsa(x, wq, wk, wv, wo, gamma, beta, h).data
+        oracle = sublayer_oracle(x.data, wq.data, wk.data, wv.data, wo.data, gamma.data,
+                                 beta.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-5, atol=1e-5)
 
     def test_batched_matches_oracle(self):
@@ -172,8 +193,10 @@ class TestMhsa:
         d, h = 12, 3
         x = Tensor(rng.normal(size=(4, 6, d)).astype(np.float32))
         wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
-        out = mhsa(x, wq, wk, wv, wo, h).data
-        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        gamma, beta = norm_params(rng, d, np.float32)
+        out = mhsa(x, wq, wk, wv, wo, gamma, beta, h).data
+        oracle = sublayer_oracle(x.data, wq.data, wk.data, wv.data, wo.data, gamma.data,
+                                 beta.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     def test_uneven_head_chunks_match_oracle(self):
@@ -185,8 +208,10 @@ class TestMhsa:
         assert QUERY_TILE == 64 and SCORE_BLOCK // (QUERY_TILE * 160) == 25
         x = Tensor(rng.normal(size=(2, 160, d)).astype(np.float32))
         wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
-        out = mhsa(x, wq, wk, wv, wo, h).data
-        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        gamma, beta = norm_params(rng, d, np.float32)
+        out = mhsa(x, wq, wk, wv, wo, gamma, beta, h).data
+        oracle = sublayer_oracle(x.data, wq.data, wk.data, wv.data, wo.data, gamma.data,
+                                 beta.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     def test_remainder_tile_matches_oracle(self):
@@ -198,15 +223,18 @@ class TestMhsa:
         assert SCORE_BLOCK // (QUERY_TILE * TILED_LENGTH) == 31
         x = Tensor(rng.normal(size=(3, TILED_LENGTH, d)).astype(np.float32))
         wq, wk, wv, wo = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(4))
-        out = mhsa(x, wq, wk, wv, wo, h).data
-        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        gamma, beta = norm_params(rng, d, np.float32)
+        out = mhsa(x, wq, wk, wv, wo, gamma, beta, h).data
+        oracle = sublayer_oracle(x.data, wq.data, wk.data, wv.data, wo.data, gamma.data,
+                                 beta.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     # at (2, 160, 32, 16) the checked sum is ~30, so central differences carry
     # ~30 * 2^-52 / eps ~ 7e-9 of rounding noise: a gradient below ~1e-2
-    # cannot be resolved to 1e-6 relative and is not sampled
+    # cannot be resolved to 1e-6 relative and is not sampled; at (2, 5, 8, 1)
+    # the sum is ~12 and the layer norm leaves wo a gradient of 3e-4
     @pytest.mark.parametrize("bsz, length, d, h, min_magnitude", [
-        (1, 1, 8, 2, 0.0), (3, 7, 12, 3, 0.0), (2, 5, 8, 1, 0.0), (2, 160, 32, 16, 1e-2),
+        (1, 1, 8, 2, 0.0), (3, 7, 12, 3, 0.0), (2, 5, 8, 1, 1e-2), (2, 160, 32, 16, 1e-2),
         (3, TILED_LENGTH, 32, 16, 1e-2)],
         ids=["1-1-8-2", "3-7-12-3", "2-5-8-1", "2-160-32-16", "3-129-32-16"])
     def test_gradient_matches_finite_differences(self, bsz, length, d, h, min_magnitude):
@@ -215,6 +243,7 @@ class TestMhsa:
         ws = [Tensor(rng.normal(size=(d, d)) / math.sqrt(d), requires_grad=True, dtype=np.float64)
               for _ in range(4)]
         w_out = Tensor(rng.normal(size=(bsz, length, d)), dtype=np.float64)
+        ws += norm_params(rng, d, np.float64, requires_grad=True)
         err = grad_check(lambda: ad.tsum(ad.mul(mhsa(x, *ws, h), w_out)), [x, *ws],
                          eps=1e-6, num_samples=300, seed=0, min_magnitude=min_magnitude)
         assert err < 1e-6, f"max relative error {err}"
@@ -225,9 +254,10 @@ class TestMhsa:
         x, ws = huge_orthogonal_key(1e3, np.float32, length)
         guarded = bounded_row_sums(x, ws[0], ws[1], 2) < ROW_SUM_FLOOR
         assert guarded_tiles(guarded) == set(range(math.ceil(length / QUERY_TILE)))
-        out = mhsa(Tensor(x), *(Tensor(w) for w in ws), 2).data
+        gamma, beta = norm_params(np.random.default_rng(1), 8, np.float32)
+        out = mhsa(Tensor(x), *(Tensor(w) for w in ws), gamma, beta, 2).data
         assert np.isfinite(out).all()
-        oracle = attention_per_head(x, *ws, 2)
+        oracle = sublayer_oracle(x, *ws, gamma.data, beta.data, 2)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     def test_underflow_guard_in_every_tile_matches_oracle(self):
@@ -245,6 +275,7 @@ class TestMhsa:
         xt = Tensor(x, requires_grad=True, dtype=np.float64)
         wt = [Tensor(w, requires_grad=True, dtype=np.float64) for w in ws]
         w_out = Tensor(np.random.default_rng(9).normal(size=x.shape), dtype=np.float64)
+        wt += norm_params(np.random.default_rng(10), 8, np.float64, requires_grad=True)
         err = grad_check(lambda: ad.tsum(ad.mul(mhsa(xt, *wt, 2), w_out)), [xt, *wt],
                          eps=1e-6, num_samples=300, seed=0, min_magnitude=1e-2)
         assert err < 1e-6, f"max relative error {err}"
@@ -268,8 +299,10 @@ class TestMhsa:
         wq, wk = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(2))
         wv, wo = (Tensor((rng.normal(size=(d, d)) / math.sqrt(d)).astype(np.float32))
                   for _ in range(2))
-        out = mhsa(x, wq, wk, wv, wo, h).data
-        oracle = attention_per_head(x.data, wq.data, wk.data, wv.data, wo.data, h)
+        gamma, beta = norm_params(rng, d, np.float32)
+        out = mhsa(x, wq, wk, wv, wo, gamma, beta, h).data
+        oracle = sublayer_oracle(x.data, wq.data, wk.data, wv.data, wo.data, gamma.data,
+                                 beta.data, h)
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     # float64 gradients at drawn lengths on both sides of QUERY_TILE; with
@@ -287,6 +320,12 @@ class TestMhsa:
         ws = [Tensor(rng.normal(size=(d, d)) / math.sqrt(d), requires_grad=True, dtype=np.float64)
               for _ in range(4)]
         w_out = Tensor(rng.uniform(0.5, 1.5, size=(bsz, length, d)), dtype=np.float64)
+        ws += norm_params(rng, d, np.float64, requires_grad=True)
+        # layer norm's curvature grows as 1/std^3: a near-constant row of
+        # x + attention makes the differences' truncation error, not the
+        # backward, the limit (a one-wide row normalises to beta, flat)
+        s = x.data + attention_per_head(x.data, *(w.data for w in ws[:4]), h)
+        assume(d == 1 or s.std(axis=-1).min() > 0.1)
         err = grad_check(lambda: ad.tsum(ad.mul(mhsa(x, *ws, h), w_out)), [x, *ws],
                          eps=1e-5, num_samples=40, seed=0, min_magnitude=1e-2)
         assert err < 1e-6, f"max relative error {err}"
@@ -299,6 +338,7 @@ class TestMhsa:
         x = Tensor(rng.normal(size=(bsz, length, d)).astype(np.float32), requires_grad=True)
         ws = [Tensor((rng.normal(size=(d, d)) / math.sqrt(d)).astype(np.float32), requires_grad=True)
               for _ in range(4)]
+        ws += norm_params(rng, d, np.float32, requires_grad=True)
         tracemalloc.start()
         try:
             ad.backward(ad.tsum(mhsa(x, *ws, h)))
@@ -309,14 +349,16 @@ class TestMhsa:
 
     def test_recorded_forward_keeps_only_what_backward_reads(self):
         # backward reads [q | -m], [k | 1]^T, [v | 1], 1/l, the token-layout
-        # context and the score block; the (B·h, L, dh + 1) numerator dies in
-        # the forward
+        # context, the score block, and the layer norm's standardised sum and
+        # 1/std; the (B·h, L, dh + 1) numerator and the output projection
+        # (which becomes the standardised sum) have no arrays of their own
         rng = np.random.default_rng(6)
         bsz, length, d, h = 2, 256, 64, 4
         n, dh = bsz * h, d // h
         x = Tensor(rng.normal(size=(bsz, length, d)).astype(np.float32), requires_grad=True)
         ws = [Tensor((rng.normal(size=(d, d)) / math.sqrt(d)).astype(np.float32), requires_grad=True)
               for _ in range(4)]
+        ws += norm_params(rng, d, np.float32, requires_grad=True)
         tracemalloc.start()
         try:
             out = mhsa(x, *ws, h)
@@ -325,7 +367,8 @@ class TestMhsa:
             tracemalloc.stop()
         rows = min(QUERY_TILE, length)
         score_block = min(n, SCORE_BLOCK // (rows * length)) * rows * length
-        read = 4 * (3 * n * length * (dh + 1) + n * length + bsz * length * d + score_block)
+        read = 4 * (3 * n * length * (dh + 1) + n * length + bsz * length * d + score_block
+                    + bsz * length * d + bsz * length)
         num = 4 * n * length * (dh + 1)
         assert held - out.data.nbytes < read + num / 2, f"held {held} B, backward reads {read} B"
 
@@ -333,9 +376,10 @@ class TestMhsa:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 4, 8)).astype(np.float32), requires_grad=True)
         ws = [Tensor(rng.normal(size=(8, 8)).astype(np.float32), requires_grad=True) for _ in range(4)]
+        ws += norm_params(rng, 8, np.float32, requires_grad=True)
         out = mhsa(x, *ws, 2)
         assert out._backward is not None
-        assert len(out._parents) == 5
+        assert len(out._parents) == 7
         assert all(p is q for p, q in zip(out._parents, [x, *ws]))
 
 
@@ -354,9 +398,9 @@ class TestForward:
         np.testing.assert_array_equal(detached.data, recorded.data)
 
     @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_step_records_four_nodes_per_layer(self, num_layers):
-        # linear, then mhsa, add_layer_norm, ffn and add_layer_norm per layer,
-        # then mean, linear and the loss
+    def test_step_records_two_nodes_per_layer(self, num_layers):
+        # linear, then the mhsa and ffn sublayers per layer, then mean,
+        # linear and the loss
         params = build_model(replace(TINY, num_layers=num_layers), seed=3)
         batch = np.random.default_rng(3).normal(size=(2, TINY.seq_len, 13)).astype(np.float32)
         loss = cross_entropy(forward(params, batch), np.array([0, 1]))
@@ -367,7 +411,7 @@ class TestForward:
                 seen.add(id(t))
                 nodes += t._backward is not None
                 stack.extend(t._parents)
-        assert nodes == 4 + 4 * num_layers
+        assert nodes == 4 + 2 * num_layers
 
     def test_backward_leaves_only_parameter_gradients(self):
         # backward frees each node's saved arrays and gradient once it has
@@ -390,6 +434,32 @@ class TestForward:
         grads = sum(t.grad.nbytes for _, t in params.items())
         assert logits.data.shape == (8, 3) and np.isfinite(loss.data)
         assert held < grads + 32 * 1024, f"held {held} B, gradients {grads} B"
+
+    def test_recorded_forward_keeps_no_sublayer_output(self):
+        # each sublayer's output buffer becomes its standardised sum, so a
+        # recorded forward keeps the arrays below and no (B, L, d) attention
+        # or FFN output besides; one such array is 64 KB here, and a
+        # separate output per sublayer would hold four
+        bsz, length, d, h, f, k = 8, 64, 32, 4, 32, 3
+        cfg = ModelConfig(d_model=d, num_heads=h, ffn_dim=f, num_classes=k, seq_len=length)
+        params = build_model(cfg, seed=2)
+        batch = np.random.default_rng(2).normal(size=(bsz, length, 13)).astype(np.float32)
+        forward(params.detached(), batch)  # caches the positional table outside the trace
+        tracemalloc.start()
+        try:
+            logits = forward(params, batch)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n, dh, bld = bsz * h, d // h, bsz * length * d
+        score_block = min(n, SCORE_BLOCK // (length * length)) * length * length
+        attention = 3 * n * length * (dh + 1) + n * length + score_block + bld  # + context
+        norms = 2 * (bld + bsz * length)  # each sublayer's standardised sum and 1/std
+        outputs = 2 * bld  # each sublayer's output, the next one's input
+        kept = 4 * (bld + cfg.num_layers * (attention + bsz * length * f + norms + outputs)
+                    + bsz * (d + k))
+        assert logits.data.shape == (bsz, k)
+        assert held < kept + 4 * bld, f"held {held} B, backward reads {kept} B"
 
     def test_nan_ffn_weight_reaches_loss(self):
         params = build_model(TINY, seed=0)

@@ -283,6 +283,27 @@ class TestTrain:
         train(TrainConfig(epochs=2, batch_size=4, seed=0), TINY_MODEL, toy_set())
         assert len(seen) == 4
 
+    def test_step_gradients_freed_before_next_forward(self, monkeypatch):
+        # a step's gradients are the parameters' size again; nothing may hold
+        # them once the next step's zero_grads has let go of them
+        from hapticauth import trainer
+        real_forward, real_adam_step = trainer.forward, trainer.adam_step
+        sent, alive_at_forward = [], []
+
+        def adam_spy(params, grads, state, lr):
+            sent.append(weakref.ref(grads["layers.0.attn.wq"]))
+            real_adam_step(params, grads, state, lr)
+
+        def forward_spy(params, x):
+            if sent:
+                alive_at_forward.append(sent[-1]() is not None)
+            return real_forward(params, x)
+
+        monkeypatch.setattr(trainer, "adam_step", adam_spy)
+        monkeypatch.setattr(trainer, "forward", forward_spy)
+        train(TrainConfig(epochs=2, batch_size=4, seed=0), TINY_MODEL, toy_set())
+        assert alive_at_forward == [False] * 3
+
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
             train(TrainConfig(epochs=1), TINY_MODEL, [])
