@@ -71,22 +71,27 @@ def _workers() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-# A command checks its output path before any work and creates it only once
-# it has something to write, so a refused run leaves no directory behind.
+# eval-experiment, filter and sweep check their output path before any work
+# and create it only once they have something to write, so a refused run
+# leaves no directory behind.
+
+def _file_in_path(path: Path) -> ConfigError:
+    return ConfigError(f"cannot create directory {path}: a part of its path is a file")
+
 
 def _check_creatable(path: Path) -> None:
     """Refuse a directory path that mkdir could not make: its nearest
     existing ancestor is not a directory."""
     nearest = next(part for part in (path, *path.parents) if part.exists())
     if not nearest.is_dir():
-        raise ConfigError(f"cannot create directory {path}: a part of its path is a file")
+        raise _file_in_path(path)
 
 
 def _make_dirs(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):  # a part of the path is a file
-        raise ConfigError(f"cannot create directory {path}: a part of its path is a file") from None
+        raise _file_in_path(path) from None
 
 
 def _check_outdir(path_str: str | None, force: bool) -> Path:
@@ -98,6 +103,12 @@ def _check_outdir(path_str: str | None, force: bool) -> Path:
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} is not empty (use --force to overwrite)")
     _check_creatable(out)
+    return out
+
+
+def _prepare_outdir(path_str: str | None, force: bool) -> Path:
+    out = _check_outdir(path_str, force)
+    _make_dirs(out)
     return out
 
 
@@ -130,9 +141,8 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         duration_range=(args.duration_min, args.duration_max),
     )
-    out = _check_outdir(args.out, args.force)
+    out = _prepare_outdir(args.out, args.force)
     dataset = synth_dataset(cfg)
-    _make_dirs(out)
     save_dataset(dataset, out)
     print(f"wrote {len(dataset)} traces ({args.users} users x {args.tasks} tasks "
           f"x {args.trials} trials) to {out}")
@@ -188,8 +198,7 @@ def cmd_train_experiment(args) -> int:
     dataset = _load(args.manifest)
     jobs = plan_experiment(dataset, args.kind, _train_config(args),
                            _model_template(args, args.kind))
-    out = _check_outdir(args.out, args.force)
-    _make_dirs(out)
+    out = _prepare_outdir(args.out, args.force)
     # an earlier run's models must not be evaluated alongside this run's
     for stale in out.glob("*.ckpt"):
         stale.unlink()
