@@ -7,6 +7,10 @@ graph once in reverse topological order and accumulates gradients
 additively across fan-out.  It frees the graph as it goes, so a graph can be
 backpropagated once.
 
+Fused ops take their large arrays from ``_empty``: plain ``np.empty``, or
+inside a training step run under a ``_Slab`` a view of that slab at an
+offset planned from the first step's allocations (record, plan, replay).
+
 The model's layers and loss are fused ops with hand-written backwards in
 ``model.py``; the generic ops here are only those something calls: ``mul``
 and ``tsum`` (the gradient check's quadratic self-test and injected fault)
@@ -16,6 +20,10 @@ and ``mean`` (pooling over time).
 from __future__ import annotations
 
 import math
+import mmap
+import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,6 +152,118 @@ def backward(loss: Tensor) -> None:
         if node.grad is not None:
             node._backward(node.grad)
         node._backward = node._parents = node.grad = None
+
+
+# --- step buffers --------------------------------------------------------------
+
+# a planned region starts on a cache line
+_ALIGN = 64
+# the allocator of the _Slab step running in this thread, if any: a context
+# variable, so that another thread's ops never draw on a training step's plan
+_take: ContextVar[Callable[[tuple[int, ...], np.dtype], np.ndarray] | None] = \
+    ContextVar("_take", default=None)
+
+
+def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array: np.empty, or inside a _Slab step that step's
+    next planned buffer."""
+    take = _take.get()
+    return np.empty(shape, dtype) if take is None else take(shape, np.dtype(dtype))
+
+
+def _pack(sizes: list[int], deaths: list[int]) -> tuple[list[int], int]:
+    """Offsets for arrays alive over [i, deaths[i]) in allocation counts,
+    greedy by size (Pisarchyk & Lee 2020): largest first, each at the lowest
+    _ALIGN-ed offset that no array alive at the same time holds.  Returns
+    the offsets and the bytes they span."""
+    n = len(sizes)
+    spans = [-(-size // _ALIGN) * _ALIGN for size in sizes]
+    born, died = np.arange(n), np.array(deaths)
+    offsets, placed = [0] * n, np.zeros(n, dtype=bool)
+    for i in sorted(range(n), key=lambda i: (-spans[i], i)):
+        off = 0
+        for j in sorted(np.flatnonzero(placed & (born < died[i]) & (died > i)),
+                        key=offsets.__getitem__):
+            if off + spans[i] <= offsets[j]:
+                break
+            off = max(off, offsets[j] + spans[j])
+        offsets[i], placed[i] = off, True
+    return offsets, max((o + s for o, s in zip(offsets, spans)), default=0)
+
+
+class _Slab:
+    """The buffers of one training run: each step of a key (a batch shape)
+    takes its _empty arrays from one slab, at offsets planned from the
+    first step of that key.
+
+    The first step records each array's size and, through a weakref, how
+    many arrays had been made when it died; arrays alive at the step's end
+    die with it.  _pack lays these lifetimes out, and one slab, sized to the
+    largest plan, serves every key.  A later step of the key hands out its
+    i-th array as a view of the slab at the i-th offset.  Each region is a
+    1-D np.frombuffer array over the slab's memoryview; numpy collapses the
+    base of every view of it onto that array, so a weakref on it sees when
+    the last view dies.  A region is handed out only when no region alive
+    overlaps it; an array whose size is not the recorded one, or whose
+    region is still held, comes from np.empty.  So a plan changes where
+    arrays live, never what they hold."""
+
+    def __init__(self):
+        self._plans: dict = {}  # key -> (sizes, offsets)
+        self._mem: memoryview | None = None
+        self._live: dict[int, tuple[weakref.ref, int, int]] = {}  # regions handed out, alive
+
+    @contextmanager
+    def step(self, key):
+        """Run one step of `key`: record it if it is the key's first, else
+        replay its plan."""
+        plan = self._plans.get(key)
+        sizes: list[int] = []
+        deaths: list[int | None] = []
+        refs: list[weakref.ref] = []
+
+        def record(shape, dtype):
+            a = np.empty(shape, dtype)
+            i = len(sizes)
+            sizes.append(a.nbytes)
+            deaths.append(None)
+            refs.append(weakref.ref(a, lambda _, i=i: deaths.__setitem__(i, len(sizes))))
+            return a
+
+        token = _take.set(record if plan is None else self._replay(*plan))
+        try:
+            yield
+        finally:
+            _take.reset(token)
+        if plan is None:
+            offsets, nbytes = _pack(sizes, [len(sizes) if t is None else t for t in deaths])
+            self._plans[key] = sizes, offsets
+            if self._mem is None or nbytes > len(self._mem):
+                buf = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+                buf[::mmap.PAGESIZE] = 0  # fault its pages in now, not in the next step
+                self._mem = memoryview(buf)[-buf.__array_interface__["data"][0] % _ALIGN:]
+                self._live = {}  # the old slab's regions lie in other memory
+
+    def _replay(self, sizes: list[int], offsets: list[int]):
+        mem, live, cursor = self._mem, self._live, 0
+
+        def forget(ref):
+            live.pop(id(ref), None)
+
+        def take(shape, dtype):
+            nonlocal cursor
+            count = math.prod(shape)
+            if cursor < len(sizes) and count * dtype.itemsize == sizes[cursor]:
+                start, end = offsets[cursor], offsets[cursor] + sizes[cursor]
+                cursor += 1
+                if all(end <= s or e <= start for _, s, e in live.values()):
+                    region = np.frombuffer(mem, dtype, count, start)
+                    ref = weakref.ref(region, forget)
+                    live[id(ref)] = ref, start, end
+                    return region.reshape(shape)
+            return np.empty(shape, dtype)
+
+        return take
 
 
 # --- finite-difference verification ------------------------------------------

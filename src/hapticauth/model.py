@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _make
+from .autodiff import Tensor, _empty, _make
 from .dataset import atomic_write
 from .errors import ConfigError, DataError, ShapeError
 from .features import NUM_FEATURES
@@ -225,6 +225,12 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     n = bsz * num_heads
     rows = min(QUERY_TILE, length)
     per_block = max(1, min(n, SCORE_BLOCK // (rows * length)))
+    # a tile's heads are whole samples or lie in one sample, so that backward
+    # can write a tile's dq, dk and dv straight into token layout
+    if per_block >= num_heads:
+        per_block -= per_block % num_heads
+    while num_heads % per_block:
+        per_block -= 1
     tiles = [(slice(h, h + per_block), slice(r, r + rows))
              for h in range(0, n, per_block) for r in range(0, length, rows)]
 
@@ -235,24 +241,24 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
             a.reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 1, 3)
 
     x_flat = x.data.reshape(bsz * length, d)
-    q1, v1 = np.empty((2, n, length, head_dim + 1), dtype=dtype)  # [q | -m], [v | 1]
-    heads(x_flat @ wq.data, q1)
-    heads(x_flat @ wv.data, v1)
-    kt = np.empty((n, head_dim + 1, length), dtype=dtype)  # [k | 1]^T
+    q1, v1 = _empty((2, n, length, head_dim + 1), dtype)  # [q | -m], [v | 1]
+    heads(_matmul(x_flat, wq.data), q1)
+    heads(_matmul(x_flat, wv.data), v1)
+    kt = _empty((n, head_dim + 1, length), dtype)  # [k | 1]^T
     kt.reshape(bsz, num_heads, head_dim + 1, length)[:, :, :head_dim] = \
-        (x_flat @ wk.data).reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 3, 1)
+        _matmul(x_flat, wk.data).reshape(bsz, length, num_heads, head_dim).transpose(0, 2, 3, 1)
     q, k_t = q1[..., :head_dim], kt[:, :head_dim]
     q *= dtype.type(scale * math.log2(math.e))  # scaling q, not the (L, L) scores, saves a pass
     kt[:, head_dim] = v1[..., head_dim] = 1
     max_k2 = np.einsum("ndl,ndl->nl", k_t, k_t).max(axis=1, keepdims=True)
     q1[..., head_dim] = -np.sqrt(np.einsum("nld,nld->nl", q, q) * max_k2)
-    scratch = np.empty((per_block, rows, length), dtype=dtype)
+    scratch = _empty((per_block, rows, length), dtype)
 
     def exp_scores(hs: slice, rs: slice) -> np.ndarray:  # e = exp2([q | -m] @ [k | 1]^T) in scratch
         e = np.matmul(q1[hs, rs], kt[hs], out=scratch[:len(kt[hs]), :len(q1[0, rs])])
         return np.exp2(e, out=e)
 
-    num = np.empty_like(v1)  # [e @ v | l]
+    num = _empty(v1.shape, dtype)  # [e @ v | l]
     for hs, rs in tiles:
         np.matmul(exp_scores(hs, rs), v1[hs], out=num[hs, rs])
     # underflow guard: redo these rows from their exact max, and put that max
@@ -265,59 +271,76 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         e -= row_max
         num[hd, redo_rows] = np.exp2(e, out=e) @ v1[hd]
         q1[hd, redo_rows, head_dim] = -row_max[:, 0]
-    inv_l = 1 / num[..., head_dim:]
+    inv_l = np.divide(1, num[..., head_dim:], out=_empty((n, length, 1), dtype))
     ctx = num[..., :head_dim]
     ctx *= inv_l
-    ctx_flat = ctx.reshape(bsz, num_heads, length, head_dim).transpose(0, 2, 1, 3).reshape(bsz * length, d)
+    ctx_flat = _empty((bsz * length, d), dtype)
+    ctx_flat.reshape(bsz, length, num_heads, head_dim)[...] = \
+        ctx.reshape(bsz, num_heads, length, head_dim).transpose(0, 2, 1, 3)
     del num, ctx  # before the output GEMM; backward reads the context from ctx_flat
-    xhat = (ctx_flat @ wo.data).reshape(bsz, length, d)
+    xhat = _matmul(ctx_flat, wo.data).reshape(bsz, length, d)
     xhat += x.data
     out_data, inv_std = _layer_norm(xhat, gamma, beta)
 
     def backward_fn(g):
         dsum = _layer_norm_backward(g, xhat, inv_std, gamma, beta)
         g = dsum.reshape(bsz * length, d)
-        ad._accumulate(wo, ctx_flat.T @ g)
+        ad._accumulate(wo, _matmul(ctx_flat.T, g))
         # softmax backward: ds = p * (dctx v^T - rowsum(dctx * ctx)) with
         # p = e / l, which is e * (a @ [v | 1]^T) for a = [dctx | -rowsum] / l
-        a = np.empty_like(v1)
+        a = _empty(v1.shape, dtype)
         dctx = a[..., :head_dim]
-        dctx_tok = (g @ wo.data.T).reshape(bsz, length, num_heads, head_dim)
+        dctx_tok = _matmul(g, wo.data.T).reshape(bsz, length, num_heads, head_dim)
         heads(dctx_tok, a)
         # the row term in token layout, as the forward's numerator is gone
         a[..., head_dim] = -np.einsum("blhd,blhd->bhl", dctx_tok,
                                       ctx_flat.reshape(dctx_tok.shape)).reshape(n, length)
         del dctx_tok
         a *= inv_l
-        vt = np.ascontiguousarray(v1.transpose(0, 2, 1))  # [v | 1]^T
-        dqkv = np.empty((3, bsz, num_heads, length, head_dim), dtype=dtype)
-        dq, dk, dv = dqkv.reshape(3, n, length, head_dim)
-        ds_block = np.empty_like(scratch)
-        # a later tile's dk and dv, added to its heads' in tile order
-        part = np.empty((2, per_block, length, head_dim), dtype=dtype) if rows < length else None
+        vt = _empty((n, head_dim + 1, length), dtype)  # [v | 1]^T
+        np.copyto(vt, v1.transpose(0, 2, 1))
+        # [dq | dk | dv] in token layout, which the weight GEMMs read; the
+        # tiles write into its (3, B, h, L, dh) head view
+        dqkv = _empty((bsz * length, 3 * d), dtype)
+        dqkv_heads = dqkv.reshape(bsz, length, 3, num_heads, head_dim).transpose(2, 0, 3, 1, 4)
+        ds_block = _empty(scratch.shape, dtype)
+        # with several row tiles, a head block's dk and dv add up over them
+        # in tile order in sums[0], contiguous, from each tile's share in
+        # sums[1], and go to token layout once, after the block's last tile
+        sums = _empty((2, 2, per_block, length, head_dim), dtype) if rows < length else None
         for hs, rs in tiles:
             e = exp_scores(hs, rs)
             ds = ds_block[:len(e), :e.shape[1]]
-            first = rs.start == 0
-            dk_t, dv_t = (dk[hs], dv[hs]) if first else part[:, :len(e)]
-            np.matmul(e.transpose(0, 2, 1), dctx[hs, rs], out=dv_t)  # dctx is now dctx / l
+            # heads hs as (samples, heads of a sample): a view of dq, dk or dv
+            b, h0 = divmod(hs.start, num_heads)
+            dq_t, dk_h, dv_h = dqkv_heads[:, b:b + max(1, len(e) // num_heads),
+                                          h0:h0 + min(len(e), num_heads)]
+
+            def split(t):  # (heads, ...) -> (samples, heads of a sample, ...), a view
+                return t.reshape(dq_t.shape[:2] + t.shape[1:])
+
+            later = rs.start > 0
+            dk_t, dv_t = (dk_h, dv_h) if sums is None else map(split, sums[int(later), :, :len(e)])
+            np.matmul(split(e.transpose(0, 2, 1)), split(dctx[hs, rs]), out=dv_t)  # dctx is now dctx / l
             np.matmul(a[hs, rs], vt[hs], out=ds)
             ds *= e
-            np.matmul(ds, k_t[hs].transpose(0, 2, 1), out=dq[hs, rs])
-            np.matmul(ds.transpose(0, 2, 1), q[hs, rs], out=dk_t)
-            if not first:
-                dk[hs] += dk_t
-                dv[hs] += dv_t
-        del a, dctx, vt, ds_block, ds, part, dk_t, dv_t
-        dq *= dtype.type(scale)
-        dk *= dtype.type(math.log(2))  # q holds log2(e), so ds^T @ q is dk / ln 2
-        del dq, dk, dv  # so the head layout dies once it is copied
-        dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(bsz * length, 3 * d)  # [dq | dk | dv]
-        dw = x_flat.T @ dqkv
+            np.matmul(split(ds), split(k_t[hs].transpose(0, 2, 1)), out=dq_t[:, :, rs])
+            np.matmul(split(ds.transpose(0, 2, 1)), split(q[hs, rs]), out=dk_t)
+            if later:
+                total, share = sums[:, :, :len(e)]
+                total += share
+                if rs.stop >= length:
+                    dk_h[...] = split(total[0])
+                    dv_h[...] = split(total[1])
+        del a, dctx, vt, ds_block, ds, sums, dk_t, dv_t
+        dqkv[:, :d] *= dtype.type(scale)
+        dqkv[:, d:2 * d] *= dtype.type(math.log(2))  # q holds log2(e), so ds^T @ q is dk / ln 2
+        dw = _matmul(x_flat.T, dqkv)
         for i, w in enumerate((wq, wk, wv)):
             ad._accumulate(w, dw[:, i * d:(i + 1) * d])
-        w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-        dx = (dqkv @ w_qkv.T).reshape(bsz, length, d)
+        w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1,
+                               out=_empty((d, 3 * d), wq.data.dtype))
+        dx = _matmul(dqkv, w_qkv.T).reshape(bsz, length, d)
         dx += dsum  # the residual's share
         ad._accumulate(x, dx)
 
@@ -332,15 +355,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     n, m = w.shape
     if x.shape[-1] != n or b.shape != (m,):
         raise ShapeError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    out_data = x.data @ w.data
+    out_data = _matmul(x.data, w.data)
     out_data += b.data
 
     def backward_fn(g):
         g2 = g.reshape(-1, m)
-        ad._accumulate(w, x.data.reshape(-1, n).T @ g2)
+        ad._accumulate(w, _matmul(x.data.reshape(-1, n).T, g2))
         ad._accumulate(b, g2.sum(axis=0))
         if x.requires_grad:
-            ad._accumulate(x, g @ w.data.T)
+            ad._accumulate(x, _matmul(g, w.data.T))
 
     return _make(out_data, (x, w, b), backward_fn)
 
@@ -356,30 +379,36 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     pre-activation array.  The second GEMM's buffer takes x in place and
     becomes the standardised sum (_layer_norm)."""
     d, f = w1.shape
-    hidden = x.data @ w1.data
+    x2 = x.data.reshape(-1, d)  # one (B·L, d) GEMM, not B (L, d) ones
+    hidden = _matmul(x2, w1.data)
     hidden += b1.data
     if preacts is not None:
-        preacts.append(hidden.copy())
+        preacts.append(hidden.reshape(x.shape[:-1] + (f,)).copy())
     np.maximum(hidden, 0, out=hidden)
-    xhat = hidden @ w2.data
+    xhat = _matmul(hidden, w2.data).reshape(x.shape)
     xhat += b2.data
     xhat += x.data
     out_data, inv_std = _layer_norm(xhat, gamma, beta)
 
     def backward_fn(g):
         dsum = _layer_norm_backward(g, xhat, inv_std, gamma, beta)
-        g2, h2 = dsum.reshape(-1, d), hidden.reshape(-1, f)
-        ad._accumulate(w2, h2.T @ g2)
+        g2 = dsum.reshape(-1, d)
+        ad._accumulate(w2, _matmul(hidden.T, g2))
         ad._accumulate(b2, g2.sum(axis=0))
-        dpre = g2 @ w2.data.T
-        dpre *= h2 > 0
-        ad._accumulate(w1, x.data.reshape(-1, d).T @ dpre)
+        dpre = _matmul(g2, w2.data.T)
+        dpre *= np.greater(hidden, 0, out=_empty(hidden.shape, bool))
+        ad._accumulate(w1, _matmul(x2.T, dpre))
         ad._accumulate(b1, dpre.sum(axis=0))
-        dx = (dpre @ w1.data.T).reshape(x.shape)
+        dx = _matmul(dpre, w1.data.T).reshape(x.shape)
         dx += dsum  # the residual's share
         ad._accumulate(x, dx)
 
     return _make(out_data, (x, w1, b1, w2, b2, gamma, beta), backward_fn)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an (..., k) a and a (k, m) b, into an _empty array."""
+    return np.matmul(a, b, out=_empty(a.shape[:-1] + b.shape[1:], np.result_type(a, b)))
 
 
 def _layer_norm(xhat: np.ndarray, gamma: Tensor, beta: Tensor
@@ -388,9 +417,12 @@ def _layer_norm(xhat: np.ndarray, gamma: Tensor, beta: Tensor
     x + F(x) and becomes the standardised sum in place; returns
     gamma * xhat + beta and the inverse standard deviations."""
     xhat -= xhat.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    squares = np.square(xhat, out=_empty(xhat.shape, xhat.dtype))
+    inv_std = 1.0 / np.sqrt(squares.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    del squares
     xhat *= inv_std
-    out_data = gamma.data * xhat
+    out_data = np.multiply(gamma.data, xhat,
+                           out=_empty(xhat.shape, np.result_type(gamma.data, xhat)))
     out_data += beta.data
     return out_data, inv_std
 
@@ -404,13 +436,17 @@ def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
     tmp holds each product in turn (g2 is a copy when g is mean's broadcast
     view)."""
     d = xhat.shape[-1]
-    g2 = g.reshape(-1, d)
+    if g.flags.c_contiguous:
+        g2 = g.reshape(-1, d)
+    else:
+        g2 = _empty((g.size // d, d), g.dtype)
+        g2.reshape(g.shape)[...] = g
     ad._accumulate(beta, g2.sum(axis=0))
-    tmp = g2 * xhat.reshape(-1, d)
+    tmp = np.multiply(g2, xhat.reshape(-1, d), out=_empty(g2.shape, np.result_type(g2, xhat)))
     ad._accumulate(gamma, tmp.sum(axis=0))
     del g2
     tmp = tmp.reshape(xhat.shape)
-    dxhat = g * gamma.data
+    dxhat = np.multiply(g, gamma.data, out=_empty(xhat.shape, np.result_type(g, gamma.data)))
     mean_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).mean(axis=-1, keepdims=True)
     dxhat -= dxhat.mean(axis=-1, keepdims=True)
     dxhat -= np.multiply(xhat, mean_dxhat_xhat, out=tmp)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import _empty, _Slab, backward
 from .dataset import ForceTrace, TraceDataset
 from .errors import ConfigError, DataError
 from .features import FeatureSequence, pipeline
@@ -98,7 +98,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
               lr: float) -> None:
     """Standard bias-corrected Adam update, in place on the moment and
-    parameter buffers: w -= lr * (m / bc1) / (sqrt(v / bc2) + eps)."""
+    parameter buffers: w -= lr * (m / bc1) / (sqrt(v / bc2) + eps).  Each
+    tensor's update takes two _empty temporaries."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
@@ -110,13 +111,16 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         if g.shape != tensor.data.shape:
             raise ConfigError(f"gradient shape {g.shape} != parameter {name} shape {tensor.data.shape}")
         m, v = state.m[name], state.v[name]
+        step, den = _empty(g.shape, g.dtype), _empty(g.shape, g.dtype)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        step = m / bc1
+        np.multiply(g, g, out=den)
+        den *= 1.0 - ADAM_BETA2
+        v += den
+        np.divide(m, bc1, out=step)
         step *= lr
-        den = v / bc2
+        np.divide(v, bc2, out=den)
         np.sqrt(den, out=den)
         den += ADAM_EPS
         step /= den
@@ -157,10 +161,15 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 
 def train(cfg: TrainConfig, model_cfg: ModelConfig,
           train_set: list[FeatureSequence]) -> tuple[ModelParams, TrainHistory]:
-    """Seeded mini-batch training loop; returns final parameters and the
-    per-epoch loss/accuracy/learning-rate history.  A non-finite loss or
-    final parameter stops the run with a DataError before it can reach a
-    checkpoint."""
+    """Seeded mini-batch training loop; returns final parameters, which hold
+    no gradients, and the per-epoch loss/accuracy/learning-rate history.  A
+    non-finite loss or final parameter stops the run with a DataError before
+    it can reach a checkpoint.
+
+    Every step of a batch shape after its first takes the arrays of its
+    fused ops and of Adam from one slab that the run holds, at offsets
+    planned from that first step (autodiff._Slab), so it makes no large
+    array; where the arrays live is all that changes."""
     if not train_set:
         raise DataError("empty training set")
     labels = np.array([fs.label for fs in train_set], dtype=np.int64)
@@ -174,6 +183,7 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     n = len(train_set)
     history = TrainHistory()
+    slab = _Slab()
 
     for epoch in range(cfg.epochs):
         lr = cosine_lr(epoch, cfg.epochs, cfg.learning_rate)
@@ -184,19 +194,20 @@ def train(cfg: TrainConfig, model_cfg: ModelConfig,
             idx = order[start:start + cfg.batch_size]
             xb = x_all[idx]
             yb = labels[idx]
-            params.zero_grads()
-            logits = forward(params, xb)
-            loss = cross_entropy(logits, yb)
-            if not np.isfinite(loss.data):
-                raise DataError(f"non-finite training loss {float(loss.data)} "
-                                f"at epoch {epoch}, step {step}")
-            backward(loss)
-            # the dict is not bound: this step's gradients die at the next zero_grads
-            adam_step(params, {k: t.grad for k, t in params.items() if t.grad is not None},
-                      state, lr)
-            loss_sum += float(loss.data) * len(idx)
-            correct += int((logits.data.argmax(axis=1) == yb).sum())
-            del logits, loss  # else this step's logits live on through the next forward
+            with slab.step(xb.shape):
+                logits = forward(params, xb)
+                loss = cross_entropy(logits, yb)
+                if not np.isfinite(loss.data):
+                    raise DataError(f"non-finite training loss {float(loss.data)} "
+                                    f"at epoch {epoch}, step {step}")
+                backward(loss)
+                # the dict is not bound: this step's gradients die at zero_grads
+                adam_step(params, {k: t.grad for k, t in params.items() if t.grad is not None},
+                          state, lr)
+                params.zero_grads()
+                loss_sum += float(loss.data) * len(idx)
+                correct += int((logits.data.argmax(axis=1) == yb).sum())
+                del logits, loss  # else this step's logits live on through the next forward
         history.train_loss.append(loss_sum / n)
         history.train_acc.append(correct / n)
         history.lr.append(lr)

@@ -310,3 +310,52 @@ class TestGradCheck:
             return loss
 
         assert grad_check(f, [x], eps=1e-5, num_samples=2) == math.inf
+
+
+class TestStepBuffers:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 5000), st.integers(1, 6)), min_size=1, max_size=30))
+    def test_pack_never_overlaps_two_live_arrays(self, arrays):
+        # array i lives over allocations [i, deaths[i]); two that live at the
+        # same time get disjoint, aligned byte ranges inside the slab
+        sizes = [size for size, _ in arrays]
+        deaths = [min(i + life, len(arrays)) for i, (_, life) in enumerate(arrays)]
+        offsets, nbytes = ad._pack(sizes, deaths)
+        for i, j in itertools.combinations(range(len(sizes)), 2):
+            assert offsets[i] % ad._ALIGN == 0 and offsets[i] + sizes[i] <= nbytes
+            if j < deaths[i]:
+                assert (offsets[i] + sizes[i] <= offsets[j]
+                        or offsets[j] + sizes[j] <= offsets[i]), (i, j)
+
+    def test_replay_never_hands_out_a_live_region(self):
+        slab = ad._Slab()
+
+        def step():
+            a = ad._empty((256,), np.float32)
+            a[:] = 1
+            del a  # so the next array is planned over a's bytes
+            return ad._empty((256,), np.float32)
+
+        with slab.step("k"):
+            step()
+        with slab.step("k"):
+            held = step()
+        assert held.base is not None  # a region of the slab
+        held[:] = 7
+        with slab.step("k"):
+            step()
+        assert (held == 7).all()
+
+    def test_other_threads_allocate_as_before(self):
+        import threading
+        slab = ad._Slab()
+        with slab.step("k"):
+            ad._empty((64,), np.float32)
+        seen = []
+        with slab.step("k"):
+            worker = threading.Thread(target=lambda: seen.append(ad._empty((64,), np.float32)))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            mine = ad._empty((64,), np.float32)
+        assert seen[0].base is None and mine.base is not None

@@ -31,9 +31,10 @@ from hapticauth import (
     synth_dataset,
     train,
 )
+from hapticauth.autodiff import backward
 from hapticauth.errors import ConfigError, DataError
 from hapticauth.evaluation import evaluate_experiment
-from hapticauth.model import load_checkpoint, save_checkpoint
+from hapticauth.model import cross_entropy, forward, load_checkpoint, save_checkpoint
 from hapticauth.signal import zscore_fit
 
 from oracles import adam_array_trajectory, adam_scalar_trajectory
@@ -303,6 +304,96 @@ class TestTrain:
         monkeypatch.setattr(trainer, "forward", forward_spy)
         train(TrainConfig(epochs=2, batch_size=4, seed=0), TINY_MODEL, toy_set())
         assert alive_at_forward == [False] * 3
+
+    def test_returns_no_gradients(self):
+        # a model sent back from a worker would carry them, and they would
+        # keep the run's slab alive
+        params, _ = train(TrainConfig(epochs=2, batch_size=4, seed=0), TINY_MODEL, toy_set())
+        assert all(t.grad is None for _, t in params.items())
+
+    def test_matches_hand_written_loop(self):
+        # 10 sequences at batch 4 over 3 epochs: steps of 4 and of 2
+        # sequences, each shape recorded once and replayed from the slab, give
+        # the bits of forward, cross_entropy, backward and adam_step run alone
+        seqs = toy_set(n=10)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=3)
+        params, hist = train(cfg, TINY_MODEL, seqs)
+
+        ref = build_model(TINY_MODEL, cfg.seed)
+        state = AdamState.init(ref)
+        shuffle_rng = np.random.default_rng([cfg.seed, 1])
+        x_all = np.stack([fs.values for fs in seqs]).astype(np.float32)
+        y_all = np.array([fs.label for fs in seqs])
+        losses = []
+        for epoch in range(cfg.epochs):
+            lr = cosine_lr(epoch, cfg.epochs, cfg.learning_rate)
+            order = shuffle_rng.permutation(len(seqs))
+            loss_sum = 0.0
+            for start in range(0, len(seqs), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                ref.zero_grads()
+                loss = cross_entropy(forward(ref, x_all[idx]), y_all[idx])
+                backward(loss)
+                adam_step(ref, {k: t.grad for k, t in ref.items()}, state, lr)
+                loss_sum += float(loss.data) * len(idx)
+            losses.append(loss_sum / len(seqs))
+        for name, t in ref.items():
+            assert t.data.tobytes() == params[name].data.tobytes(), name
+        assert hist.train_loss == losses
+
+    def test_array_held_past_its_death_keeps_its_bytes(self, monkeypatch):
+        # a spy holds every step's logits and first sublayer output past the
+        # death its plan recorded: no later array is laid over them, and
+        # training gives the bits it gives without the spy
+        from hapticauth import model
+        cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=4, seed=3)
+        expected, _ = train(cfg, TINY_MODEL, toy_set(n=10))
+        real_forward, real_ffn, held = trainer.forward, model.ffn, []
+
+        def forward_spy(params, x):
+            logits = real_forward(params, x)
+            held.append((logits.data, logits.data.copy()))
+            return logits
+
+        def ffn_spy(*args):
+            out = real_ffn(*args)
+            if len(held) % 2 == 0:
+                held.append((out.data, out.data.copy()))
+            return out
+
+        monkeypatch.setattr(trainer, "forward", forward_spy)
+        monkeypatch.setattr(model, "ffn", ffn_spy)
+        params, _ = train(cfg, TINY_MODEL, toy_set(n=10))
+        assert len(held) == 18
+        assert any(kept.base is not None for kept, _ in held)  # some lie in the slab
+        for kept, copy in held:
+            assert kept.tobytes() == copy.tobytes()
+        for name, t in expected.items():
+            assert t.data.tobytes() == params[name].data.tobytes(), name
+
+    def test_replayed_step_makes_no_array(self, monkeypatch):
+        # steps of 4, 4 and 2 sequences per epoch: the first of each shape
+        # makes its arrays (and the first, the one slab), every other step
+        # takes them all from the slab
+        made, per_step = [], []
+        real_empty, real_forward = np.empty, trainer.forward
+
+        def counting_empty(shape, dtype=float, **kwargs):
+            if np.dtype(dtype).kind != "i":  # not the shuffle's scratch
+                made.append(np.dtype(dtype))
+            return real_empty(shape, dtype, **kwargs)
+
+        def forward_spy(params, x):
+            per_step.append(made[:])
+            made.clear()
+            return real_forward(params, x)
+
+        monkeypatch.setattr(np, "empty", counting_empty)
+        monkeypatch.setattr(trainer, "forward", forward_spy)
+        train(TrainConfig(epochs=3, batch_size=4, seed=0), TINY_MODEL, toy_set(n=10))
+        per_step = per_step[1:] + [made]  # what each step made
+        assert [i for i, step in enumerate(per_step) if step] == [0, 2]
+        assert [dt for step in per_step for dt in step].count(np.dtype(np.uint8)) == 1
 
     def test_empty_set_rejected(self):
         with pytest.raises(DataError):
