@@ -202,14 +202,16 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     k is kept transposed, as one contiguous (B·h, dh + 1, L) [k | 1]^T, so
     the score GEMM reads no transposed view.  The scores are computed in
     tiles of QUERY_TILE query rows (all L rows when L is shorter) of as many
-    heads as fit SCORE_BLOCK elements, each tile into one reused scratch
-    block.  Training and inference run the same forward.  For backward it
-    keeps [q | -m], [k | 1]^T, [v | 1], 1/l, the context in token layout,
-    the score block and the layer norm's standardised sum and 1/std, but
-    not the (B·h, L, dh + 1) numerator, and backward
-    recomputes each tile's e with the same GEMM and exp2 (the FlashAttention
-    backward), so no (B, h, L, L) tensor is allocated.  dk and dv add up
-    over a head's tiles in tile order, so no result depends on the BLAS
+    of a sample's heads as fit SCORE_BLOCK elements (a divisor of h, at
+    least one head), each tile into one reused scratch block.  Training and
+    inference run the same forward.  For backward it keeps [q | -m],
+    [k | 1]^T, [v | 1], 1/l, the context in token layout, the score block
+    and the layer norm's standardised sum and 1/std, but not the
+    (B·h, L, dh + 1) numerator, and backward recomputes each tile's e with
+    the same GEMM and exp2 (the FlashAttention backward), so no (B, h, L, L)
+    tensor is allocated.  It writes dq, dk and dv straight into the
+    token-layout (B·L, 3d) array that its weight GEMMs read.  dk and dv add
+    up over a head's tiles in tile order, so no result depends on the BLAS
     thread count."""
     if x.data.ndim != 3:
         raise ShapeError(f"mhsa expects (B, L, d) input, got {x.shape}")
@@ -224,13 +226,10 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     scale = 1.0 / math.sqrt(head_dim)
     n = bsz * num_heads
     rows = min(QUERY_TILE, length)
-    per_block = max(1, min(n, SCORE_BLOCK // (rows * length)))
-    # a tile's heads are whole samples or lie in one sample, so that backward
-    # can write a tile's dq, dk and dv straight into token layout
-    if per_block >= num_heads:
-        per_block -= per_block % num_heads
-    while num_heads % per_block:
-        per_block -= 1
+    # a tile's heads lie in one sample, so that backward can write a tile's
+    # dq, dk and dv straight into a token-layout view
+    fit = max(1, min(num_heads, SCORE_BLOCK // (rows * length)))
+    per_block = max(h for h in range(1, fit + 1) if num_heads % h == 0)
     tiles = [(slice(h, h + per_block), slice(r, r + rows))
              for h in range(0, n, per_block) for r in range(0, length, rows)]
 
@@ -311,27 +310,21 @@ def mhsa(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         for hs, rs in tiles:
             e = exp_scores(hs, rs)
             ds = ds_block[:len(e), :e.shape[1]]
-            # heads hs as (samples, heads of a sample): a view of dq, dk or dv
             b, h0 = divmod(hs.start, num_heads)
-            dq_t, dk_h, dv_h = dqkv_heads[:, b:b + max(1, len(e) // num_heads),
-                                          h0:h0 + min(len(e), num_heads)]
-
-            def split(t):  # (heads, ...) -> (samples, heads of a sample, ...), a view
-                return t.reshape(dq_t.shape[:2] + t.shape[1:])
-
+            dq_t, dk_h, dv_h = dqkv_heads[:, b, h0:h0 + per_block]  # heads hs, strided views
             later = rs.start > 0
-            dk_t, dv_t = (dk_h, dv_h) if sums is None else map(split, sums[int(later), :, :len(e)])
-            np.matmul(split(e.transpose(0, 2, 1)), split(dctx[hs, rs]), out=dv_t)  # dctx is now dctx / l
+            dk_t, dv_t = (dk_h, dv_h) if sums is None else sums[int(later)]
+            np.matmul(e.transpose(0, 2, 1), dctx[hs, rs], out=dv_t)  # dctx is now dctx / l
             np.matmul(a[hs, rs], vt[hs], out=ds)
             ds *= e
-            np.matmul(split(ds), split(k_t[hs].transpose(0, 2, 1)), out=dq_t[:, :, rs])
-            np.matmul(split(ds.transpose(0, 2, 1)), split(q[hs, rs]), out=dk_t)
+            np.matmul(ds, k_t[hs].transpose(0, 2, 1), out=dq_t[:, rs])
+            np.matmul(ds.transpose(0, 2, 1), q[hs, rs], out=dk_t)
             if later:
-                total, share = sums[:, :, :len(e)]
+                total, share = sums
                 total += share
                 if rs.stop >= length:
-                    dk_h[...] = split(total[0])
-                    dv_h[...] = split(total[1])
+                    dk_h[...] = total[0]
+                    dv_h[...] = total[1]
         del a, dctx, vt, ds_block, ds, sums, dk_t, dv_t
         dqkv[:, :d] *= dtype.type(scale)
         dqkv[:, d:2 * d] *= dtype.type(math.log(2))  # q holds log2(e), so ds^T @ q is dk / ln 2

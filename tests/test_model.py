@@ -202,9 +202,9 @@ class TestMhsa:
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     def test_uneven_head_chunks_match_oracle(self):
-        # at L 160 a score tile holds 64 query rows of 25 heads: the 32 of
-        # B 2 x 16 heads go in blocks of 25 and 7, the first holds heads of
-        # both samples, and each head's rows go in tiles of 64, 64 and 32
+        # at L 160 a score tile holds 64 query rows of up to 25 heads, so the
+        # 32 of B 2 x 16 heads go in one block per sample, and each head's
+        # rows go in tiles of 64, 64 and 32
         rng = np.random.default_rng(4)
         d, h = 32, 16
         assert QUERY_TILE == 64 and SCORE_BLOCK // (QUERY_TILE * 160) == 25
@@ -217,9 +217,9 @@ class TestMhsa:
         np.testing.assert_allclose(out, oracle, rtol=1e-4, atol=1e-4)
 
     def test_remainder_tile_matches_oracle(self):
-        # at L 129 a tile holds 64 rows of 31 heads: the 48 of B 3 x 16 heads
-        # go in blocks of 31 and 17, both cut across samples, and each head
-        # ends in a one-row tile
+        # at L 129 a tile holds 64 rows of up to 31 heads: the 48 of B 3 x 16
+        # heads go in one block per sample, and each head ends in a one-row
+        # tile
         rng = np.random.default_rng(6)
         d, h = 32, 16
         assert SCORE_BLOCK // (QUERY_TILE * TILED_LENGTH) == 31
@@ -235,11 +235,12 @@ class TestMhsa:
     # rounding noise; eps is 1e-5 because at (2, 5, 8, 1) the layer norm
     # leaves wo a gradient of 3e-4, which a step of 1e-6 on a sum of ~12
     # resolves only to 6e-6; at (2, 160, 32, 16) the sum is ~30, and a
-    # gradient below ~1e-2 is not sampled
+    # gradient below ~1e-2 is not sampled; at (2, 160, 32, 32) 25 heads fit a
+    # score tile, so each sample's heads go in two blocks of 16
     @pytest.mark.parametrize("bsz, length, d, h, min_magnitude", [
         (1, 1, 8, 2, 0.0), (3, 7, 12, 3, 0.0), (2, 5, 8, 1, 0.0), (2, 160, 32, 16, 1e-2),
-        (3, TILED_LENGTH, 32, 16, 1e-2)],
-        ids=["1-1-8-2", "3-7-12-3", "2-5-8-1", "2-160-32-16", "3-129-32-16"])
+        (3, TILED_LENGTH, 32, 16, 1e-2), (2, 160, 32, 32, 1e-2)],
+        ids=["1-1-8-2", "3-7-12-3", "2-5-8-1", "2-160-32-16", "3-129-32-16", "2-160-32-32"])
     def test_gradient_matches_finite_differences(self, bsz, length, d, h, min_magnitude):
         rng = np.random.default_rng(bsz * 100 + length)
         x = Tensor(rng.normal(size=(bsz, length, d)), requires_grad=True, dtype=np.float64)
